@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench fuzz-smoke serve-smoke repl-smoke shard-smoke trace-smoke wal-crash ci
+.PHONY: all build vet test race bench bench-test benchmark fuzz-smoke serve-smoke repl-smoke shard-smoke trace-smoke wal-crash ci
 
 all: ci
 
@@ -15,12 +15,21 @@ test:
 
 # Race-detector gate: every concurrency-sensitive test (pager races,
 # singleflight, QueryBatch, SyncIndex stress, server admission/drain,
-# crash matrix, compaction vs concurrent commits) must pass under -race.
+# crash matrix, compaction vs concurrent commits, segdbd's run per
+# serving mode) must pass under -race.
 race:
-	$(GO) test -race -run 'Concurrent|Race|Sync|Singleflight|Batch|Admission|Drain|Gate|Histogram|Serve|Crash|Repl|Shard|Compact' ./internal/pager ./internal/server ./...
+	$(GO) test -race -run 'Concurrent|Race|Sync|Singleflight|Batch|Admission|Drain|Gate|Histogram|Serve|Crash|Repl|Shard|Compact|Run' ./internal/pager ./internal/server ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
+
+# The repo's benchmark (BENCHMARK.json): bench/ is a Go module of its
+# own, so the root module's build and test do not see it.
+bench-test:
+	$(GO) test -C bench ./...
+
+benchmark:
+	bash bench/run.sh
 
 # Short coverage-guided runs of every fuzz target (go test -fuzz takes
 # one target per invocation).
@@ -30,26 +39,32 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzPlanarize -fuzztime 20s -run '^$$' ./internal/geom
 	$(GO) test -fuzz FuzzShardRoute -fuzztime 20s -run '^$$' .
 
-# End-to-end serving gate: gen → build → segdbd → segload → /statsz.
+# The end-to-end gates are Go tests over one harness (cmd/segdbd/
+# e2e_test.go: build the three binaries once, real child processes on
+# free ports, typed scrapers, kill -9). They skip unless SEGDB_E2E is set.
+E2E = SEGDB_E2E=1 $(GO) test -count=1 -timeout 10m ./cmd/segdbd -run
+
+# Serving: gen → build → segdbd → segload → /statsz, /metricsz, slow log,
+# tracing; then -wal: insert → kill -9 → survival → shutdown checkpoint.
 serve-smoke:
-	./scripts/serve_smoke.sh
+	$(E2E) '^TestE2EServe$$'
 
-# End-to-end replication gate: leader + follower, segload read split,
-# QueryBatch differential, kill -9 the follower mid-stream, WAL rotation
-# with re-snapshot, lag series on /metricsz.
+# Replication: leader + follower, segload read split, batch differential,
+# kill -9 the follower mid-stream, WAL rotation with re-snapshot, lag
+# series on /metricsz, auto-compaction under a write burst.
 repl-smoke:
-	./scripts/repl_smoke.sh
+	$(E2E) '^TestE2ERepl$$'
 
-# End-to-end sharding gate: segdb shard → segdbd -shards=4 → mixed
-# segload run → kill -9 mid-write → restart → differential vs unsharded.
+# Sharding: segdb shard → segdbd -shards=4 → mixed segload run → kill -9
+# mid-write → restart → differential vs unsharded → per-slab auto-compact.
 shard-smoke:
-	./scripts/shard_smoke.sh
+	$(E2E) '^TestE2EShard$$'
 
-# End-to-end tracing gate: traceparent round trip, /tracez span trees
-# over shard fan-out and the WAL write path, stage histograms, the
-# trace-linked slow log, segload -trace, and tracing-off going dark.
+# Tracing: traceparent round trip, /tracez span trees over shard fan-out
+# and the WAL write path, stage histograms, the trace-linked slow log,
+# segload -trace, and tracing-off going dark.
 trace-smoke:
-	./scripts/trace_smoke.sh
+	$(E2E) '^TestE2ETrace$$'
 
 # WAL crash-matrix gate: kill the log at every record boundary and the
 # checkpoint at every step, then recover and verify — under -race. The
@@ -57,4 +72,4 @@ trace-smoke:
 wal-crash:
 	$(GO) test -race -run 'DurableCrash|DurableCheckpoint|WALCrash|TornTail|ShardCrash' . ./internal/wal ./internal/shard
 
-ci: vet build test race wal-crash serve-smoke repl-smoke shard-smoke trace-smoke
+ci: vet build test race wal-crash serve-smoke repl-smoke shard-smoke trace-smoke bench-test

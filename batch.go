@@ -31,6 +31,12 @@ func QueryBatch(ix Index, queries []Query, parallelism int) []BatchResult {
 	return QueryBatchContext(context.Background(), ix, queries, parallelism)
 }
 
+// querier is all the batch runner asks of an index — every Index has it,
+// and so does a sharded store, which is not an Index.
+type querier interface {
+	Query(q Query, emit func(Segment)) (QueryStats, error)
+}
+
 // contextQuerier is the optional interface of indexes whose queries can
 // be aborted mid-emission; *SyncIndex implements it.
 type contextQuerier interface {
@@ -54,7 +60,7 @@ type contextQuerier interface {
 // parallel on the sharded store. Workers pull queries from a shared
 // cursor, so a few expensive queries do not stall the rest of the batch
 // behind a static partition.
-func QueryBatchContext(ctx context.Context, ix Index, queries []Query, parallelism int) []BatchResult {
+func QueryBatchContext(ctx context.Context, ix querier, queries []Query, parallelism int) []BatchResult {
 	out := make([]BatchResult, len(queries))
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
@@ -128,7 +134,7 @@ func MergeBatchStats(results []BatchResult) QueryStats {
 // a cancelled subquery — before starting or mid-run — still closes its
 // span, tagged cancelled, so a traced timed-out batch shows exactly which
 // subqueries ran, which aborted, and which never started.
-func runBatchQuery(ctx context.Context, ix Index, q Query, i int) BatchResult {
+func runBatchQuery(ctx context.Context, ix querier, q Query, i int) BatchResult {
 	var r BatchResult
 	qctx, sp := trace.StartSpan(ctx, trace.StageQuery)
 	if sp != nil {

@@ -83,13 +83,13 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -99,249 +99,115 @@ import (
 	"time"
 
 	"segdb"
-	"segdb/internal/repl"
 	"segdb/internal/server"
-	"segdb/internal/shard"
 	"segdb/internal/trace"
 )
 
 func main() {
-	db := flag.String("db", "index.db", "store file built by segdb build")
-	b := flag.Int("b", 0, "block capacity; 0 probes the file")
-	cache := flag.Int("cache", 256, "buffer-pool pages")
-	addr := flag.String("addr", ":8080", "listen address")
-	debugAddr := flag.String("debug-addr", "", "separate listener for net/http/pprof; empty disables")
-	maxInflight := flag.Int("max-inflight", 64, "admission limit; excess load is shed with 429")
-	timeout := flag.Duration("timeout", 5*time.Second, "per-request deadline")
-	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
-	maxBatch := flag.Int("max-batch", 1024, "max queries per batch request")
-	batchWorkers := flag.Int("batch-workers", 4, "QueryBatch workers per batch request")
-	drainWait := flag.Duration("drain-wait", 30*time.Second, "graceful-shutdown budget")
-	verify := flag.Bool("verify", false, "verify the whole index file (checksums + structural walk) before serving")
-	probeX := flag.Float64("probe-x", 0, "x of the stabbing query run by /healthz?deep=1")
-	slowLatency := flag.Duration("slow-latency", 250*time.Millisecond, "slow-query latency threshold; 0 logs every request")
-	slowIO := flag.Int64("slow-io", 0, "slow-query I/O threshold in physical pages read; 0 disables")
-	slowRing := flag.Int("slow-ring", 128, "slow-query ring capacity (/statsz?slow=1)")
-	slowLog := flag.String("slow-log", "", "append slow-query entries as JSONL to this file")
-	traceSample := flag.Float64("trace-sample", 0, "request-trace head-sampling probability in (0,1]; 0 disables tracing (/tracez stays empty)")
-	traceRing := flag.Int("trace-ring", 64, "kept-trace ring capacity behind /tracez")
-	traceLog := flag.String("trace-log", "", "append kept traces as JSONL to this file (requires -trace-sample > 0)")
-	walPath := flag.String("wal", "", "write-ahead log path; enables POST /v1/insert and /v1/delete (requires a Solution 1 index)")
-	groupCommit := flag.Duration("group-commit-window", 0, "group-commit window: how long an update fsync lingers for concurrent writers to share it")
-	maxInflightUpdates := flag.Int("max-inflight-updates", 16, "write-admission limit; excess update load is shed with 429")
-	shards := flag.Int("shards", 0, "serve a sharded store directory built by `segdb shard` (-db names the directory, value must match its manifest); 0 serves a single index file")
-	follow := flag.String("follow", "", "leader base URL; serve as a read replica tailing its WAL (writes answer 503)")
-	followerID := flag.String("follower-id", "", "name reported to the leader's lag table; defaults to the hostname")
-	maxReplicaLag := flag.Duration("max-replica-lag", 10*time.Second, "replica staleness budget: /healthz?deep=1 fails beyond it; <=0 disables")
-	replicaCompact := flag.Int64("replica-compact-records", 65536, "local WAL records that trigger a replica checkpoint; <0 disables")
-	autoCompactBytes := flag.Int64("auto-compact-bytes", 0, "WAL record bytes that trigger a background compaction (per shard in -shards mode); 0 disables the byte trigger")
-	autoCompactRecords := flag.Int64("auto-compact-records", 0, "WAL records that trigger a background compaction (per shard in -shards mode); 0 disables the record trigger")
-	autoCompactInterval := flag.Duration("auto-compact-interval", time.Second, "how often the compaction governor polls the WAL thresholds")
-	autoCompactMinInterval := flag.Duration("auto-compact-min-interval", 0, "minimum time between background compactions of one index; 0 uses -auto-compact-interval")
-	compactLagGuard := flag.Int64("compact-lag-guard", 1<<20, "defer auto-compaction while a follower is actively tailing within this many bytes of the tip (it would be forced to re-bootstrap); 0 disables, and a WAL at twice a trigger threshold overrides the guard")
-	slowCompact := flag.Duration("slow-compact", time.Second, "compaction latency budget: longer compactions land in the slow log; <0 disables")
-	flag.Parse()
+	cfg, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "segdbd:", err)
+		os.Exit(2)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, cfg, nil); err != nil {
+		log.Fatalf("segdbd: %v", err)
+	}
+}
 
-	if *verify {
-		if *shards != 0 {
-			if err := shard.Verify(*db); err != nil {
-				log.Fatalf("segdbd: refusing to serve: %v", err)
+// run serves cfg until ctx is cancelled, then shuts down gracefully: stop
+// admitting, finish the in-flight requests, stop accepting connections,
+// stop the background loops, and hand the engine its shutdown, which
+// makes the store durable. ready, if non-nil, is told the listener's
+// address as soon as it accepts connections (-addr may name port 0). The
+// error is the first thing that kept run from serving, or what the
+// engine's shutdown could not make durable.
+func run(ctx context.Context, cfg config, ready func(net.Addr)) error {
+	scfg := cfg.server
+	slow, err := openJSONLSink(cfg.slowLog, "slow queries")
+	if err != nil {
+		return err
+	}
+	defer slow.close()
+	if slow != nil {
+		scfg.SlowSink = func(e server.SlowEntry) { slow.record(e) }
+	}
+	traces, err := openJSONLSink(cfg.traceLog, "kept traces")
+	if err != nil {
+		return err
+	}
+	defer traces.close()
+	if traces != nil {
+		scfg.TraceSink = func(t trace.TraceSnapshot) { traces.record(t) }
+	}
+	if scfg.TraceSample > 0 {
+		log.Printf("segdbd: tracing on (sample %g, ring %d)", scfg.TraceSample, scfg.TraceRing)
+	}
+
+	e, err := openEngine(ctx, cfg)
+	if err != nil {
+		return err
+	}
+	scfg.Updater, scfg.Repl, scfg.Follower = e.updater, e.leader, e.follower
+	srv := server.New(e.ix, e.st, scfg)
+	e.srv = srv
+
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		return errors.Join(err, e.shutdown())
+	}
+	if ready != nil {
+		ready(ln.Addr())
+	}
+	if cfg.debugAddr != "" {
+		mux := http.NewServeMux()
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		dbg := &http.Server{Addr: cfg.debugAddr, Handler: mux}
+		defer dbg.Close()
+		go func() {
+			log.Printf("segdbd: pprof on %s/debug/pprof/", cfg.debugAddr)
+			if err := dbg.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+				log.Printf("segdbd: debug listener: %v", err)
 			}
-			log.Printf("segdbd: %s verified (every shard: checksums + structural walk)", *db)
-		} else {
-			if err := segdb.VerifyIndexFile(*db); err != nil {
-				log.Fatalf("segdbd: refusing to serve: %v", err)
-			}
-			log.Printf("segdbd: %s verified (checksums + structural walk)", *db)
-		}
+		}()
 	}
 
-	// Four serving modes: -shards scatter-gathers over a sharded store
-	// directory (read-write, per-shard WALs), -follow tails a leader as a
-	// read replica, -wal serves a single index read-write (checkpoint file
-	// + write-ahead log, replayed at open) and doubles as a replication
-	// leader, and the default serves the file read-only straight off its
-	// store.
-	var (
-		sx  *segdb.SyncIndex
-		st  *segdb.Store
-		dix *segdb.DurableIndex
-		shs *shard.Store
-		fol *repl.Follower
-		srv *server.Server
-		err error
-	)
-	if *shards != 0 {
-		if *follow != "" || *walPath != "" {
-			log.Fatalf("segdbd: -shards is exclusive with -follow and -wal (each shard has its own WAL in the store directory)")
-		}
-		// Split the pool budget so a sharded store uses the same total
-		// memory a single index would with the same -cache.
-		perShardCache := *cache / *shards
-		if perShardCache < 16 {
-			perShardCache = 16
-		}
-		shs, err = shard.Open(*db, shard.Config{
-			Shards: *shards,
-			Durable: segdb.DurableOptions{
-				Build:             segdb.Options{B: *b},
-				CachePages:        perShardCache,
-				GroupCommitWindow: *groupCommit,
-			},
-		})
-		if err != nil {
-			log.Fatalf("segdbd: %v", err)
-		}
-		records, _, _ := shs.WALStats()
-		log.Printf("segdbd: %s: %d segments across %d shards (cuts %v, %d wal records, %d pool pages/shard), read-write",
-			*db, shs.Len(), shs.Shards(), shs.Cuts(), records, perShardCache)
-	} else if *follow != "" {
-		localWAL := *walPath
-		if localWAL == "" {
-			localWAL = *db + ".wal"
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		fol, err = repl.Open(ctx, repl.Config{
-			Leader:         *follow,
-			DB:             *db,
-			WAL:            localWAL,
-			ID:             *followerID,
-			Durable:        segdb.DurableOptions{Build: segdb.Options{B: *b}, CachePages: *cache},
-			CompactRecords: *replicaCompact,
-			Logf:           log.Printf,
-			// A re-snapshot replaces the local index; repoint the server at
-			// it. srv is assigned before the tailing goroutine starts, so
-			// swaps (which only happen on that goroutine) always see it; the
-			// initial install during Open runs here with srv still nil.
-			OnSwap: func(ix *segdb.SyncIndex, st *segdb.Store) {
-				if srv != nil {
-					srv.SwapIndex(ix, st)
-				}
-			},
-		})
-		cancel()
-		if err != nil {
-			log.Fatalf("segdbd: follower: %v", err)
-		}
-		sx, st = fol.Index(), fol.Store()
-		fst := fol.Status()
-		log.Printf("segdbd: following %s as %q: %d segments at epoch %d lsn %d",
-			*follow, fst.ID, sx.Len(), fst.Epoch, fst.AppliedLSN)
-	} else if *walPath != "" {
-		dix, err = segdb.OpenDurableIndex(*db, *walPath, segdb.DurableOptions{
-			Build:             segdb.Options{B: *b},
-			CachePages:        *cache,
-			GroupCommitWindow: *groupCommit,
-		})
-		if err != nil {
-			log.Fatalf("segdbd: %v", err)
-		}
-		sx, st = dix.Index(), dix.Store()
-		records, _, _ := dix.WALStats()
-		log.Printf("segdbd: %s + %s: %d segments (%d wal records), read-write",
-			*db, *walPath, sx.Len(), records)
-	} else {
-		var ix segdb.Index
-		st, ix, err = segdb.OpenIndexFile(*db, *b, *cache)
-		if err != nil {
-			log.Fatalf("segdbd: %v", err)
-		}
-		sx = segdb.SynchronizedOn(ix, st)
-		log.Printf("segdbd: %s: %d segments, %d pages of %d bytes, %d pool shards",
-			*db, ix.Len(), st.PagesInUse(), st.PageSize(), st.Shards())
+	// Background loops, alive from here until the server has drained: the
+	// engine's tail, and the compaction governor watching each writable
+	// unit's WAL against the -auto-compact thresholds, so an unattended
+	// leader's log (and restart-replay time) stays bounded without an
+	// operator POSTing /v1/admin/compact.
+	loopCtx, stopLoops := context.WithCancel(context.Background())
+	defer stopLoops()
+	var running sync.WaitGroup
+	background := func(loop func(context.Context)) {
+		running.Add(1)
+		go func() {
+			defer running.Done()
+			loop(loopCtx)
+		}()
 	}
-
-	var sink *jsonlSink
-	if *slowLog != "" {
-		sink, err = openJSONLSink(*slowLog)
-		if err != nil {
-			log.Fatalf("segdbd: slow log: %v", err)
-		}
-		log.Printf("segdbd: slow queries append to %s", *slowLog)
+	if e.tail != nil {
+		background(e.tail)
 	}
-
-	var tsink *jsonlSink
-	if *traceLog != "" {
-		if *traceSample <= 0 {
-			log.Fatalf("segdbd: -trace-log requires -trace-sample > 0")
-		}
-		tsink, err = openJSONLSink(*traceLog)
-		if err != nil {
-			log.Fatalf("segdbd: trace log: %v", err)
-		}
-		log.Printf("segdbd: kept traces append to %s", *traceLog)
-	}
-
-	// -slow-latency 0 means "log everything": the server treats 0 as
-	// "use the default" and negative as "off", so map it to the smallest
-	// positive threshold.
-	slowLat := *slowLatency
-	if slowLat == 0 {
-		slowLat = time.Nanosecond
-	}
-
-	cfg := server.Config{
-		MaxInflight:      *maxInflight,
-		DefaultTimeout:   *timeout,
-		RetryAfter:       *retryAfter,
-		MaxBatch:         *maxBatch,
-		BatchParallelism: *batchWorkers,
-		DeepProbeX:       *probeX,
-		SlowLatency:      slowLat,
-		SlowIOPages:      *slowIO,
-		SlowLogSize:      *slowRing,
-		SlowCompact:      *slowCompact,
-		TraceSample:      *traceSample,
-		TraceRing:        *traceRing,
-	}
-	if sink != nil {
-		cfg.SlowSink = func(e server.SlowEntry) { sink.record(e) }
-	}
-	if tsink != nil {
-		cfg.TraceSink = func(t trace.TraceSnapshot) { tsink.record(t) }
-	}
-	if *traceSample > 0 {
-		log.Printf("segdbd: tracing on (sample %g, ring %d)", *traceSample, *traceRing)
-	}
-	if dix != nil {
-		cfg.Updater = dix
-		cfg.MaxInflightUpdates = *maxInflightUpdates
-		// A read-write server is a replication leader: followers bootstrap
-		// from its checkpoint and tail its committed log.
-		cfg.Repl = repl.NewLeader(dix)
-	}
-	if shs != nil {
-		// A sharded store is read-write through the same Updater surface;
-		// its Compact (every shard in parallel) backs /v1/admin/compact.
-		// WAL shipping is a single-log protocol, so no replication leader.
-		cfg.Updater = shs
-		cfg.MaxInflightUpdates = *maxInflightUpdates
-	}
-	if fol != nil {
-		cfg.Follower = fol
-		cfg.MaxReplicaLag = *maxReplicaLag
-	}
-	var served server.Index = sx
-	if shs != nil {
-		served = shs
-	}
-	srv = server.New(served, st, cfg)
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
-
-	// Background compaction: a governor watching each writable index's
-	// WAL against the -auto-compact thresholds, so an unattended leader's
-	// log (and restart-replay time) stays bounded without an operator
-	// POSTing /v1/admin/compact. In -shards mode each slab is its own
-	// unit, compacted only when its own WAL trips, staggered under the
-	// store's worker bound; in -wal (leader) mode the lag guard defers
-	// rotation while a follower is actively tailing close to the tip.
-	var gov *segdb.Governor
-	if (dix != nil || shs != nil) && (*autoCompactBytes > 0 || *autoCompactRecords > 0) {
-		gcfg := segdb.GovernorConfig{
-			Bytes:       *autoCompactBytes,
-			Records:     *autoCompactRecords,
-			Interval:    *autoCompactInterval,
-			MinInterval: *autoCompactMinInterval,
+	if len(e.units) > 0 && (cfg.autoCompactBytes > 0 || cfg.autoCompactRecords > 0) {
+		log.Printf("segdbd: auto-compact on (bytes %d, records %d, poll %v, units %d)",
+			cfg.autoCompactBytes, cfg.autoCompactRecords, cfg.autoCompactInterval, len(e.units))
+		background(segdb.NewGovernor(e.units, segdb.GovernorConfig{
+			Bytes:       cfg.autoCompactBytes,
+			Records:     cfg.autoCompactRecords,
+			Interval:    cfg.autoCompactInterval,
+			MinInterval: cfg.autoCompactMinInterval,
+			Parallel:    e.parallel,
+			Defer:       e.deferCompact,
 			Logf:        log.Printf,
 			OnCompact: func(unit int, took time.Duration, err error) {
 				srv.ObserveCompaction(true, took, err)
@@ -349,191 +215,94 @@ func main() {
 			OnDefer: func(unit int, reason string) {
 				srv.ObserveCompactDeferral()
 			},
-		}
-		var units []segdb.CompactUnit
-		if shs != nil {
-			units = shs.CompactUnits()
-			gcfg.Parallel = shs.Workers()
-		} else {
-			units = []segdb.CompactUnit{dix}
-			if leader := cfg.Repl; leader != nil && *compactLagGuard > 0 {
-				guard := *compactLagGuard
-				gcfg.Defer = func() (string, bool) {
-					if lag, id, ok := leader.ActiveTailLag(); ok && lag <= guard {
-						return fmt.Sprintf("follower %q tailing %d bytes behind (guard %d)", id, lag, guard), true
-					}
-					return "", false
-				}
-			}
-		}
-		gov = segdb.NewGovernor(units, gcfg)
-		log.Printf("segdbd: auto-compact on (bytes %d, records %d, poll %v, units %d)",
-			*autoCompactBytes, *autoCompactRecords, *autoCompactInterval, len(units))
-	}
-	govCtx, govCancel := context.WithCancel(context.Background())
-	defer govCancel()
-	var govDone chan struct{}
-	if gov != nil {
-		govDone = make(chan struct{})
-		go func() {
-			defer close(govDone)
-			gov.Run(govCtx)
-		}()
+		}).Run)
 	}
 
-	// The follower tails the leader until shutdown; srv is already
-	// assigned, so re-snapshot swaps repoint it.
-	folCtx, folCancel := context.WithCancel(context.Background())
-	defer folCancel()
-	var folDone chan struct{}
-	if fol != nil {
-		folDone = make(chan struct{})
-		go func() {
-			defer close(folDone)
-			fol.Run(folCtx)
-		}()
-	}
-
-	if *debugAddr != "" {
-		go func() {
-			mux := http.NewServeMux()
-			mux.HandleFunc("/debug/pprof/", pprof.Index)
-			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-			log.Printf("segdbd: pprof on %s/debug/pprof/", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, mux); err != nil {
-				log.Printf("segdbd: debug listener: %v", err)
-			}
-		}()
-	}
-
+	hs := &http.Server{Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("segdbd: serving on %s (max-inflight %d, timeout %v)",
-			*addr, *maxInflight, *timeout)
-		errc <- hs.ListenAndServe()
+			ln.Addr(), scfg.MaxInflight, scfg.DefaultTimeout)
+		errc <- hs.Serve(ln)
 	}()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	var serveErr error
 	select {
-	case sig := <-sigc:
-		log.Printf("segdbd: %v: draining (inflight %d)", sig, srv.Gate().Inflight())
-	case err := <-errc:
-		log.Fatalf("segdbd: serve: %v", err)
-	}
-
-	// Graceful shutdown: stop admitting queries, finish the in-flight
-	// ones, stop accepting connections, then make the store durable.
-	ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		log.Printf("segdbd: %v", err)
-	}
-	if err := hs.Shutdown(ctx); err != nil {
-		log.Printf("segdbd: shutdown: %v", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("segdbd: serve: %v", err)
-	}
-	if sink != nil {
-		if err := sink.close(); err != nil {
-			log.Printf("segdbd: slow log: %v", err)
+	case serveErr = <-errc:
+		serveErr = fmt.Errorf("serve: %w", serveErr)
+	case <-ctx.Done():
+		log.Printf("segdbd: draining (inflight %d)", srv.Gate().Inflight())
+		dctx, cancel := context.WithTimeout(context.Background(), cfg.drainWait)
+		defer cancel()
+		if err := srv.Drain(dctx); err != nil {
+			log.Printf("segdbd: %v", err)
+		}
+		if err := hs.Shutdown(dctx); err != nil {
+			log.Printf("segdbd: shutdown: %v", err)
+		}
+		if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
+			log.Printf("segdbd: serve: %v", err)
 		}
 	}
-	if tsink != nil {
-		if err := tsink.close(); err != nil {
-			log.Printf("segdbd: trace log: %v", err)
-		}
-	}
-	// Stop the governor before the shutdown checkpoint closes anything:
-	// Run finishes its in-flight poll (and any compaction it started)
-	// before returning, so no background Compact can race Close. The
-	// shutdown Compact below coalesces with a just-finished auto-compact
+	// Stop the loops before the shutdown checkpoint closes anything: the
+	// governor finishes its in-flight poll (and any compaction it
+	// started) before returning, so no background Compact can race Close;
+	// the shutdown Compact coalesces with a just-finished auto-compact
 	// through the single-flight guard at worst.
-	govCancel()
-	if govDone != nil {
-		<-govDone
-	}
+	stopLoops()
+	running.Wait()
 	snap := srv.Snapshot()
-	switch {
-	case shs != nil:
-		// A graceful stop checkpoints every shard in parallel and rotates
-		// every per-shard log, so the next open replays nothing.
-		if err := shs.Compact(); err != nil {
-			log.Printf("segdbd: checkpoint: %v", err)
+	err = errors.Join(serveErr, e.shutdown())
+	fmt.Print(exitSummary(snap))
+	return err
+}
+
+// exitSummary is the report printed at exit, one line per part of the
+// snapshot that has something to say.
+func exitSummary(snap server.Snapshot) string {
+	ep := snap.Endpoints
+	s := fmt.Sprintf("segdbd: served %d queries, %d batches, shed %d; store hit ratio %.3f\n",
+		ep["query"].Requests, ep["batch"].Requests, snap.Admission.Shed, snap.Store.HitRatio)
+	if snap.WAL != nil {
+		across := ""
+		if n := len(snap.Shards); n > 0 {
+			across = fmt.Sprintf(" across %d shards", n)
 		}
-		if err := shs.Close(); err != nil {
-			log.Printf("segdbd: close: %v", err)
-		}
-	case fol != nil:
-		// Stop tailing before closing: Run owns all state transitions, so
-		// once it returns the local index is quiescent and Close can
-		// checkpoint it (the next start resumes from the mark, no replay).
-		folCancel()
-		<-folDone
-		if err := fol.Close(); err != nil {
-			log.Printf("segdbd: close: %v", err)
-		}
-	case dix != nil:
-		// A graceful stop checkpoints: the live state lands in the index
-		// file through the shadow commit and the log rotates empty, so the
-		// next open replays nothing.
-		if err := dix.Compact(); err != nil {
-			log.Printf("segdbd: checkpoint: %v", err)
-		}
-		if err := dix.Close(); err != nil {
-			log.Printf("segdbd: close: %v", err)
-		}
-	default:
-		if err := st.Sync(); err != nil {
-			log.Printf("segdbd: sync: %v", err)
-		}
-		if err := st.Close(); err != nil {
-			log.Printf("segdbd: close: %v", err)
-		}
-	}
-	fmt.Printf("segdbd: served %d queries, %d batches, shed %d; store hit ratio %.3f\n",
-		snap.Endpoints["query"].Requests, snap.Endpoints["batch"].Requests,
-		snap.Admission.Shed, snap.Store.HitRatio)
-	if dix != nil {
-		fmt.Printf("segdbd: served %d inserts, %d deletes; checkpointed %d segments\n",
-			snap.Endpoints["insert"].Requests, snap.Endpoints["delete"].Requests, sx.Len())
-	}
-	if shs != nil {
-		fmt.Printf("segdbd: served %d inserts, %d deletes; checkpointed %d segments across %d shards\n",
-			snap.Endpoints["insert"].Requests, snap.Endpoints["delete"].Requests,
-			shs.Len(), shs.Shards())
+		s += fmt.Sprintf("segdbd: served %d inserts, %d deletes; checkpointed %d segments%s\n",
+			ep["insert"].Requests, ep["delete"].Requests, snap.Segments, across)
 	}
 	if snap.Repl != nil {
-		fmt.Printf("segdbd: follower applied %d records in %d batches, %d re-snapshots\n",
+		s += fmt.Sprintf("segdbd: follower applied %d records in %d batches, %d re-snapshots\n",
 			snap.Repl.RecordsApplied, snap.Repl.BatchesApplied, snap.Repl.Resnapshots)
 	}
 	if snap.Compact != nil && snap.Compact.Total > 0 {
-		fmt.Printf("segdbd: %d compactions (%d auto, %d failed, %d deferred)\n",
+		s += fmt.Sprintf("segdbd: %d compactions (%d auto, %d failed, %d deferred)\n",
 			snap.Compact.Total, snap.Compact.Auto, snap.Compact.Failures, snap.Compact.Deferred)
 	}
+	return s
 }
 
-// jsonlSink appends JSON records to a file, one per line. It backs both
-// the slow-query log and the trace log: records arrive on request
-// goroutines but only at slow-query / kept-trace rates, so a mutex
-// around a buffered writer is plenty; flushing every record keeps the
-// file live for tail -f at negligible cost at those rates.
+// jsonlSink appends JSON records to a file, one write per line, so the
+// file is live for tail -f. It backs both the slow-query log and the
+// trace log: records arrive on request goroutines, but only at
+// slow-query / kept-trace rates, so a mutex around the file is plenty.
 type jsonlSink struct {
 	mu sync.Mutex
 	f  *os.File
-	w  *bufio.Writer
 }
 
-func openJSONLSink(path string) (*jsonlSink, error) {
+// openJSONLSink opens the file what's records append to. An empty path
+// is no sink: the nil *jsonlSink, whose close is a no-op.
+func openJSONLSink(path, what string) (*jsonlSink, error) {
+	if path == "" {
+		return nil, nil
+	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s log: %w", what, err)
 	}
-	return &jsonlSink{f: f, w: bufio.NewWriter(f)}, nil
+	log.Printf("segdbd: %s append to %s", what, path)
+	return &jsonlSink{f: f}, nil
 }
 
 func (s *jsonlSink) record(v any) {
@@ -543,17 +312,16 @@ func (s *jsonlSink) record(v any) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.w.Write(line)
-	s.w.WriteByte('\n')
-	s.w.Flush()
+	s.f.Write(append(line, '\n')) // a lost log line must not fail the request it describes
 }
 
-func (s *jsonlSink) close() error {
+func (s *jsonlSink) close() {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.w.Flush(); err != nil {
-		s.f.Close()
-		return err
+	if err := s.f.Close(); err != nil {
+		log.Printf("segdbd: %s: %v", s.f.Name(), err)
 	}
-	return s.f.Close()
 }

@@ -34,8 +34,8 @@
 // p50/p90/p99, shed counts, the store's pool hit ratio, and the
 // server-side I/O cost per query — physical pages read, the paper's
 // measure — so a slow run can be attributed to I/O rather than guessed
-// at. -json emits the same report machine-readably, e.g. for
-// BENCH_server.json.
+// at. -json emits the same report machine-readably; the end-to-end tests
+// read it. (Performance is measured by bench/, not by segload.)
 package main
 
 import (
@@ -391,72 +391,6 @@ func (p promMetrics) value(name, endpoint string) float64 {
 	return p[name][endpoint]
 }
 
-// parseProm parses Prometheus text exposition format, strictly enough to
-// serve as a format check: every non-comment line must be
-// `name{labels} value` or `name value` with a float value, and every
-// sample's metric name must have been announced by a preceding # TYPE
-// line. It keeps the endpoint label and drops the rest.
-func parseProm(text string) (promMetrics, error) {
-	out := make(promMetrics)
-	typed := make(map[string]bool)
-	for ln, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			f := strings.Fields(line)
-			if len(f) >= 3 && f[1] == "TYPE" {
-				typed[f[2]] = true
-			}
-			continue
-		}
-		name, rest := line, ""
-		if i := strings.IndexAny(line, "{ "); i >= 0 {
-			name, rest = line[:i], line[i:]
-		}
-		if name == "" {
-			return nil, fmt.Errorf("metricsz line %d: no metric name: %q", ln+1, line)
-		}
-		endpoint := ""
-		if strings.HasPrefix(rest, "{") {
-			end := strings.Index(rest, "}")
-			if end < 0 {
-				return nil, fmt.Errorf("metricsz line %d: unterminated labels: %q", ln+1, line)
-			}
-			for _, lv := range strings.Split(rest[1:end], ",") {
-				if v, ok := strings.CutPrefix(lv, `endpoint="`); ok {
-					endpoint = strings.TrimSuffix(v, `"`)
-				}
-			}
-			rest = rest[end+1:]
-		}
-		// Histogram series are announced under their family name.
-		family := name
-		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-			if f, ok := strings.CutSuffix(name, suffix); ok && typed[f] {
-				family = f
-				break
-			}
-		}
-		if !typed[family] {
-			return nil, fmt.Errorf("metricsz line %d: sample %q has no # TYPE", ln+1, name)
-		}
-		val, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		if err != nil {
-			return nil, fmt.Errorf("metricsz line %d: bad value in %q: %v", ln+1, line, err)
-		}
-		if out[name] == nil {
-			out[name] = make(map[string]float64)
-		}
-		out[name][endpoint] = val
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("metricsz: no samples")
-	}
-	return out, nil
-}
-
 func fetchMetricsz(client *http.Client, addr string) (promMetrics, error) {
 	resp, err := client.Get(addr + "/metricsz")
 	if err != nil {
@@ -470,7 +404,22 @@ func fetchMetricsz(client *http.Client, addr string) (promMetrics, error) {
 	if _, err := io.Copy(&b, resp.Body); err != nil {
 		return nil, err
 	}
-	return parseProm(b.String())
+	// The strict parser doubles as a format check on the scrape.
+	samples, _, err := server.ParsePrometheus(b.String())
+	if err != nil {
+		return nil, err
+	}
+	if len(samples) == 0 {
+		return nil, fmt.Errorf("metricsz: no samples")
+	}
+	out := make(promMetrics)
+	for _, sm := range samples {
+		if out[sm.Name] == nil {
+			out[sm.Name] = make(map[string]float64)
+		}
+		out[sm.Name][sm.Labels["endpoint"]] = sm.Value
+	}
+	return out, nil
 }
 
 func fetchTracez(client *http.Client, addr string) (trace.RingSnapshot, error) {

@@ -15,125 +15,13 @@ import (
 	"segdb/internal/workload"
 )
 
-// promSample is one parsed exposition line.
-type promSample struct {
-	name   string
-	labels map[string]string
-	value  float64
-}
-
-// parsePromStrict parses Prometheus text exposition format 0.0.4 and
-// fails on anything the format forbids: samples without a preceding
-// # TYPE for their family, interleaved families, malformed label sets,
-// or unparseable values. It returns samples plus the family → type map.
-func parsePromStrict(t *testing.T, text string) ([]promSample, map[string]string) {
+// parsePromStrict runs text through server.ParsePrometheus — the strict
+// exposition-format parser segload and the e2e harness scrape with —
+// and fails the test on anything the format forbids.
+func parsePromStrict(t *testing.T, text string) ([]server.PromSample, map[string]string) {
 	t.Helper()
-	validName := func(s string) bool {
-		if s == "" {
-			return false
-		}
-		for i, r := range s {
-			alpha := r == '_' || r == ':' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z')
-			if !alpha && (i == 0 || r < '0' || r > '9') {
-				return false
-			}
-		}
-		return true
-	}
-	family := func(name string) string {
-		for _, suf := range []string{"_bucket", "_sum", "_count"} {
-			if f, ok := strings.CutSuffix(name, suf); ok {
-				return f
-			}
-		}
-		return name
-	}
-
-	types := make(map[string]string)
-	var samples []promSample
-	var lastFamily string
-	closed := make(map[string]bool) // families whose sample block ended
-
-	sc := bufio.NewScanner(strings.NewReader(text))
-	line := 0
-	for sc.Scan() {
-		line++
-		l := sc.Text()
-		if l == "" {
-			continue
-		}
-		if strings.HasPrefix(l, "#") {
-			fields := strings.SplitN(l, " ", 4)
-			if len(fields) < 4 || (fields[1] != "HELP" && fields[1] != "TYPE") {
-				t.Fatalf("line %d: malformed comment %q", line, l)
-			}
-			if fields[1] == "TYPE" {
-				name, typ := fields[2], fields[3]
-				if !validName(name) {
-					t.Fatalf("line %d: invalid metric name %q", line, name)
-				}
-				switch typ {
-				case "counter", "gauge", "histogram", "summary", "untyped":
-				default:
-					t.Fatalf("line %d: invalid type %q", line, typ)
-				}
-				if _, dup := types[name]; dup {
-					t.Fatalf("line %d: duplicate TYPE for %q", line, name)
-				}
-				types[name] = typ
-			}
-			continue
-		}
-
-		// Sample line: name[{labels}] value
-		var name, valStr string
-		labels := map[string]string{}
-		if i := strings.IndexByte(l, '{'); i >= 0 {
-			j := strings.IndexByte(l, '}')
-			if j < i {
-				t.Fatalf("line %d: unbalanced braces in %q", line, l)
-			}
-			name = l[:i]
-			for _, pair := range strings.Split(l[i+1:j], ",") {
-				k, v, ok := strings.Cut(pair, "=")
-				if !ok || !validName(k) || len(v) < 2 || v[0] != '"' || v[len(v)-1] != '"' {
-					t.Fatalf("line %d: malformed label %q", line, pair)
-				}
-				labels[k] = v[1 : len(v)-1]
-			}
-			valStr = strings.TrimSpace(l[j+1:])
-		} else {
-			var ok bool
-			name, valStr, ok = strings.Cut(l, " ")
-			if !ok {
-				t.Fatalf("line %d: no value in %q", line, l)
-			}
-			valStr = strings.TrimSpace(valStr)
-		}
-		if !validName(name) {
-			t.Fatalf("line %d: invalid metric name %q", line, name)
-		}
-		v, err := strconv.ParseFloat(valStr, 64)
-		if err != nil {
-			t.Fatalf("line %d: unparseable value %q: %v", line, valStr, err)
-		}
-
-		fam := family(name)
-		if _, ok := types[fam]; !ok {
-			t.Fatalf("line %d: sample %q has no preceding # TYPE for family %q", line, name, fam)
-		}
-		if fam != lastFamily {
-			if closed[fam] {
-				t.Fatalf("line %d: family %q interleaved (resumed after other samples)", line, fam)
-			}
-			if lastFamily != "" {
-				closed[lastFamily] = true
-			}
-			lastFamily = fam
-		}
-		samples = append(samples, promSample{name: name, labels: labels, value: v})
-	}
-	if err := sc.Err(); err != nil {
+	samples, types, err := server.ParsePrometheus(text)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return samples, types
@@ -142,14 +30,14 @@ func parsePromStrict(t *testing.T, text string) ([]promSample, map[string]string
 // checkPromHistograms verifies every exported histogram: cumulative
 // buckets are monotone non-decreasing in le order, the +Inf bucket
 // equals _count, and _sum and _count exist per label set.
-func checkPromHistograms(t *testing.T, samples []promSample, types map[string]string) {
+func checkPromHistograms(t *testing.T, samples []server.PromSample, types map[string]string) {
 	t.Helper()
 	type key struct{ fam, labels string }
 	// One histogram per family × full label set (excluding le, the bucket
 	// dimension) — endpoint-labelled and stage-labelled series alike.
-	labelKey := func(s promSample) string {
+	labelKey := func(s server.PromSample) string {
 		var parts []string
-		for k, v := range s.labels {
+		for k, v := range s.Labels {
 			if k == "le" {
 				continue
 			}
@@ -158,13 +46,13 @@ func checkPromHistograms(t *testing.T, samples []promSample, types map[string]st
 		sort.Strings(parts)
 		return strings.Join(parts, ",")
 	}
-	buckets := make(map[key][]promSample)
+	buckets := make(map[key][]server.PromSample)
 	counts := make(map[key]float64)
 	sums := make(map[key]bool)
 	for _, s := range samples {
-		fam, suf := s.name, ""
+		fam, suf := s.Name, ""
 		for _, sx := range []string{"_bucket", "_sum", "_count"} {
-			if f, ok := strings.CutSuffix(s.name, sx); ok && types[f] == "histogram" {
+			if f, ok := strings.CutSuffix(s.Name, sx); ok && types[f] == "histogram" {
 				fam, suf = f, sx
 				break
 			}
@@ -177,7 +65,7 @@ func checkPromHistograms(t *testing.T, samples []promSample, types map[string]st
 		case "_bucket":
 			buckets[k] = append(buckets[k], s)
 		case "_count":
-			counts[k] = s.value
+			counts[k] = s.Value
 		case "_sum":
 			sums[k] = true
 		}
@@ -193,8 +81,8 @@ func checkPromHistograms(t *testing.T, samples []promSample, types map[string]st
 		if !ok {
 			t.Fatalf("histogram %v: missing _count", k)
 		}
-		le := func(s promSample) float64 {
-			l := s.labels["le"]
+		le := func(s server.PromSample) float64 {
+			l := s.Labels["le"]
 			if l == "+Inf" {
 				return math.Inf(1)
 			}
@@ -209,13 +97,13 @@ func checkPromHistograms(t *testing.T, samples []promSample, types map[string]st
 		if le(last) != math.Inf(1) {
 			t.Fatalf("histogram %v: no +Inf bucket", k)
 		}
-		if last.value != count {
-			t.Fatalf("histogram %v: +Inf bucket %v != count %v", k, last.value, count)
+		if last.Value != count {
+			t.Fatalf("histogram %v: +Inf bucket %v != count %v", k, last.Value, count)
 		}
 		for i := 1; i < len(bs); i++ {
-			if bs[i].value < bs[i-1].value {
+			if bs[i].Value < bs[i-1].Value {
 				t.Fatalf("histogram %v: cumulative buckets decrease at le=%q (%v < %v)",
-					k, bs[i].labels["le"], bs[i].value, bs[i-1].value)
+					k, bs[i].Labels["le"], bs[i].Value, bs[i-1].Value)
 			}
 		}
 	}
@@ -270,8 +158,8 @@ func TestServeMetricszPrometheus(t *testing.T) {
 	snap := srv.Snapshot()
 	get := func(name, ep string) float64 {
 		for _, s := range samples {
-			if s.name == name && s.labels["endpoint"] == ep {
-				return s.value
+			if s.Name == name && s.Labels["endpoint"] == ep {
+				return s.Value
 			}
 		}
 		t.Fatalf("metric %s{endpoint=%q} not exported", name, ep)
@@ -302,8 +190,8 @@ func TestServeMetricszPrometheus(t *testing.T) {
 	// Per-shard series sum to the total.
 	var shardReads float64
 	for _, s := range samples {
-		if s.name == "segdb_store_shard_reads_total" {
-			shardReads += s.value
+		if s.Name == "segdb_store_shard_reads_total" {
+			shardReads += s.Value
 		}
 	}
 	if shardReads != get("segdb_store_reads_total", "") {

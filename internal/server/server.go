@@ -203,14 +203,37 @@ type Server struct {
 	slow     *SlowLog
 	tracer   *trace.Tracer // nil: tracing disabled
 	compacts CompactStats
+
+	// What the Updater can do beyond the interface, resolved once in New
+	// so no request pays a type assertion: its context-aware (traced)
+	// update methods, or the plain ones behind the same signature, and
+	// its checkpoint hook (nil: no /v1/admin/compact).
+	insert    func(context.Context, segdb.Segment) (segdb.UpdateStats, error)
+	remove    func(context.Context, segdb.Segment) (bool, segdb.UpdateStats, error)
+	compacter Compacter
+	// maxBody bounds a request body, so MaxBatch limits what is decoded
+	// into memory and not only what is run.
+	maxBody int64
 }
+
+// maxQueryWireBytes is generous for one query or one segment on the
+// wire (three or five float64s with their keys are under 200 bytes);
+// the body bound is one of these per allowed batch entry plus a page
+// for the envelope.
+const maxQueryWireBytes = 256
 
 // serveState pairs the served index with its store so a swap replaces
 // both atomically — a snapshot can never attribute one index's queries
 // to another index's store.
 type serveState struct {
-	ix Index
-	st *segdb.Store
+	ix     Index
+	st     *segdb.Store
+	shards ShardStatuser // ix's per-shard rows; nil for a single index
+}
+
+func newServeState(ix Index, st *segdb.Store) *serveState {
+	ss, _ := ix.(ShardStatuser)
+	return &serveState{ix: ix, st: st, shards: ss}
 }
 
 // New assembles a server over a synchronized index. st may be nil (no
@@ -225,10 +248,21 @@ func New(ix Index, st *segdb.Store, cfg Config) *Server {
 		gate:    NewGate(cfg.MaxInflight),
 		metrics: NewMetrics(),
 		slow:    NewSlowLog(cfg.SlowLogSize, cfg.SlowLatency, cfg.SlowIOPages, cfg.SlowSink),
+		maxBody: 4096 + int64(cfg.MaxBatch)*maxQueryWireBytes,
 	}
-	s.state.Store(&serveState{ix: ix, st: st})
-	if cfg.Updater != nil {
+	s.state.Store(newServeState(ix, st))
+	if u := cfg.Updater; u != nil {
 		s.wgate = NewGate(cfg.MaxInflightUpdates)
+		s.compacter, _ = u.(Compacter)
+		// A context-aware updater threads the trace through shard routing,
+		// apply and WAL commit; anything else runs untraced (the request's
+		// root span still measures it).
+		if cu, ok := u.(contextUpdater); ok {
+			s.insert, s.remove = cu.InsertContext, cu.DeleteContext
+		} else {
+			s.insert = func(_ context.Context, seg segdb.Segment) (segdb.UpdateStats, error) { return u.Insert(seg) }
+			s.remove = func(_ context.Context, seg segdb.Segment) (bool, segdb.UpdateStats, error) { return u.Delete(seg) }
+		}
 	}
 	s.tracer = trace.New(trace.Config{
 		SampleRate:  cfg.TraceSample,
@@ -259,7 +293,7 @@ func (s *Server) cur() *serveState { return s.state.Load() }
 // it (repl.Follower holds superseded indexes through a grace window
 // longer than any request deadline before closing them).
 func (s *Server) SwapIndex(ix Index, st *segdb.Store) {
-	s.state.Store(&serveState{ix: ix, st: st})
+	s.state.Store(newServeState(ix, st))
 }
 
 // Metrics exposes the registry, e.g. for tests.
@@ -279,8 +313,8 @@ func (s *Server) SlowLog() *SlowLog { return s.slow }
 func (s *Server) Snapshot() Snapshot {
 	cur := s.cur()
 	snap := SnapshotFrom(s.metrics, s.gate, cur.st, cur.ix.Len())
-	if ss, ok := cur.ix.(ShardStatuser); ok {
-		snap.Shards = ss.ShardStatus()
+	if cur.shards != nil {
+		snap.Shards = cur.shards.ShardStatus()
 		if cur.st == nil {
 			// A sharded store has no single pager; synthesize the store
 			// section from the per-shard rows so dashboards keep working.
@@ -297,7 +331,7 @@ func (s *Server) Snapshot() Snapshot {
 			snap.WAL.WedgedError = werr.Error()
 		}
 	}
-	if _, ok := s.cfg.Updater.(Compacter); ok {
+	if s.compacter != nil {
 		cs := s.compacts.Snapshot()
 		snap.Compact = &cs
 	}
@@ -367,7 +401,7 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc(repl.SnapshotPath, s.cfg.Repl.ServeSnapshot)
 		mux.HandleFunc(repl.WALPath, s.cfg.Repl.ServeWAL)
 	}
-	if _, ok := s.cfg.Updater.(Compacter); ok {
+	if s.compacter != nil {
 		mux.HandleFunc("/v1/admin/compact", s.handleCompact)
 	}
 	mux.HandleFunc("/statsz", s.handleStatsz)
@@ -395,7 +429,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	err := s.cfg.Updater.(Compacter).Compact()
+	err := s.compacter.Compact()
 	s.ObserveCompaction(false, time.Since(start), err)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "compact: "+err.Error())
@@ -473,30 +507,72 @@ type QueryResponse struct {
 	ElapsedMS float64       `json:"elapsed_ms"`
 }
 
+// decode and admit are the request preamble the query and update
+// handlers share; the handler classifies and counts the request in
+// between, because admission and shed accounting need the endpoint and
+// the endpoint is only known from the decoded body.
+//
+// decode starts the request trace before the body is read, so parse
+// time is on it, and echoes the traceparent on every traced response,
+// errors included — headers precede any body write. The caller finishes
+// root whatever ok says. The body is read through http.MaxBytesReader:
+// an oversized one answers 413 having decoded at most maxBody bytes. A
+// body that does not decode cannot be attributed to the single or batch
+// form, so it is counted on the parse pseudo-endpoint, which keeps
+// errors <= requests on every row. On !ok the response has been written.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, req any) (rctx context.Context, root *trace.Span, ok bool) {
+	rctx, root = s.tracer.StartRequest(r.Context(), r.Header.Get(trace.Header))
+	if root != nil {
+		w.Header().Set(trace.Header, root.Traceparent())
+	}
+	_, psp := trace.StartSpan(rctx, trace.StageParse)
+	derr := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(req)
+	psp.End()
+	if derr != nil {
+		s.metrics.OnParseError()
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(derr, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, "bad request body: "+derr.Error())
+		return rctx, root, false
+	}
+	return rctx, root, true
+}
+
+// admit passes the request through gate: shed, never queue. 429 asks the
+// client to back off and retry; 503 says the server is going away. On
+// true the caller holds a slot and releases it; on false the shed has
+// been counted on ep and answered.
+func (s *Server) admit(rctx context.Context, w http.ResponseWriter, gate *Gate, ep Endpoint) bool {
+	_, asp := trace.StartSpan(rctx, trace.StageAdmission)
+	aerr := gate.Admit()
+	asp.End()
+	if aerr == nil {
+		return true
+	}
+	s.metrics.OnShed(ep)
+	w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+	if errors.Is(aerr, ErrDraining) {
+		httpError(w, http.StatusServiceUnavailable, aerr.Error())
+	} else {
+		httpError(w, http.StatusTooManyRequests, aerr.Error())
+	}
+	return false
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	// The trace starts before the body decode so parse time is on it. The
-	// response traceparent goes out on every traced response, including
-	// errors — headers precede any body write.
-	rctx, root := s.tracer.StartRequest(r.Context(), r.Header.Get(trace.Header))
+	var req QueryRequest
+	rctx, root, ok := s.decode(w, r, &req)
 	if root != nil {
-		w.Header().Set(trace.Header, root.Traceparent())
 		defer s.tracer.FinishRequest(root)
 	}
-	var req QueryRequest
-	_, psp := trace.StartSpan(rctx, trace.StageParse)
-	derr := json.NewDecoder(r.Body).Decode(&req)
-	psp.End()
-	if derr != nil {
-		// A body that does not decode cannot be attributed to the single
-		// or batch form; counting it as a query error (as the seed did,
-		// without counting a request) let error counts exceed request
-		// counts. The parse pseudo-endpoint keeps every row's invariant.
-		s.metrics.OnParseError()
-		httpError(w, http.StatusBadRequest, "bad request body: "+derr.Error())
+	if !ok {
 		return
 	}
 	ep := EPQuery
@@ -510,20 +586,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Queries), s.cfg.MaxBatch))
 		return
 	}
-
-	// Admission: shed, never queue. 429 asks the client to back off and
-	// retry; 503 says the server is going away.
-	_, asp := trace.StartSpan(rctx, trace.StageAdmission)
-	aerr := s.gate.Admit()
-	asp.End()
-	if aerr != nil {
-		s.metrics.OnShed(ep)
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		if errors.Is(aerr, ErrDraining) {
-			httpError(w, http.StatusServiceUnavailable, aerr.Error())
-		} else {
-			httpError(w, http.StatusTooManyRequests, aerr.Error())
-		}
+	if !s.admit(rctx, w, s.gate, ep) {
 		return
 	}
 	defer s.gate.Release()
@@ -662,35 +725,18 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, ep Endpoin
 		httpError(w, http.StatusNotImplemented, "read-only server: restart segdbd with -wal to enable updates")
 		return
 	}
-	rctx, root := s.tracer.StartRequest(r.Context(), r.Header.Get(trace.Header))
+	var req UpdateRequest
+	rctx, root, ok := s.decode(w, r, &req)
 	if root != nil {
-		w.Header().Set(trace.Header, root.Traceparent())
 		defer s.tracer.FinishRequest(root)
 	}
-	var req UpdateRequest
-	_, psp := trace.StartSpan(rctx, trace.StageParse)
-	derr := json.NewDecoder(r.Body).Decode(&req)
-	psp.End()
-	if derr != nil {
-		s.metrics.OnParseError()
-		httpError(w, http.StatusBadRequest, "bad request body: "+derr.Error())
+	if !ok {
 		return
 	}
 	s.metrics.OnRequest(ep)
-
 	// Updates have their own admission class: a write burst sheds with
 	// 429 instead of eating read slots, and vice versa.
-	_, asp := trace.StartSpan(rctx, trace.StageAdmission)
-	aerr := s.wgate.Admit()
-	asp.End()
-	if aerr != nil {
-		s.metrics.OnShed(ep)
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		if errors.Is(aerr, ErrDraining) {
-			httpError(w, http.StatusServiceUnavailable, aerr.Error())
-		} else {
-			httpError(w, http.StatusTooManyRequests, aerr.Error())
-		}
+	if !s.admit(rctx, w, s.wgate, ep) {
 		return
 	}
 	defer s.wgate.Release()
@@ -702,23 +748,11 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, ep Endpoin
 		ust   segdb.UpdateStats
 		err   error
 	)
-	// A context-aware updater threads the trace through shard routing,
-	// apply and WAL commit; anything else runs untraced (the request's
-	// root span still measures it).
-	cu, hasCtx := s.cfg.Updater.(contextUpdater)
 	if ep == EPInsert {
-		if hasCtx {
-			ust, err = cu.InsertContext(rctx, seg)
-		} else {
-			ust, err = s.cfg.Updater.Insert(seg)
-		}
+		ust, err = s.insert(rctx, seg)
 		found = err == nil
 	} else {
-		if hasCtx {
-			found, ust, err = cu.DeleteContext(rctx, seg)
-		} else {
-			found, ust, err = s.cfg.Updater.Delete(seg)
-		}
+		found, ust, err = s.remove(rctx, seg)
 	}
 	elapsed := time.Since(start)
 	var io QueryIO

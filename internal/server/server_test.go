@@ -462,6 +462,44 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestServeOversizedBodyIs413 is the regression test for unbounded
+// request bodies: MaxBatch used to be checked only after a body of any
+// size had been decoded into memory. The body is now read through a
+// bound derived from MaxBatch, so one past it answers 413 — on the query
+// and the update endpoints alike — and lands on the parse row, keeping
+// errors <= requests everywhere.
+func TestServeOversizedBodyIs413(t *testing.T) {
+	hs, srv, _ := durableServer(t, server.Config{MaxBatch: 4})
+	huge, err := json.Marshal(&server.QueryRequest{Queries: make([]server.QuerySpec, 2000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := append([]byte(`{"id":1,"ax":0,"ay":0,"bx":1,"by":0,"pad":"`), bytes.Repeat([]byte("x"), 1<<16)...)
+	padded = append(padded, `"}`...)
+	for path, body := range map[string][]byte{"/v1/query": huge, "/v1/insert": padded} {
+		resp, err := http.Post(hs.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with a %d-byte body: HTTP %d, want 413", path, len(body), resp.StatusCode)
+		}
+	}
+	snap := srv.Snapshot()
+	if p := snap.Endpoints["parse"]; p.Requests != 2 || p.Errors != 2 {
+		t.Fatalf("parse row = %d requests / %d errors, want 2 / 2", p.Requests, p.Errors)
+	}
+	for _, name := range []string{"batch", "insert"} {
+		if ep := snap.Endpoints[name]; ep.Requests != 0 || ep.Errors != 0 {
+			t.Fatalf("%s row = %d requests / %d errors, want untouched", name, ep.Requests, ep.Errors)
+		}
+	}
+	if snap.Segments != 0 {
+		t.Fatalf("oversized insert was applied: %d segments", snap.Segments)
+	}
+}
+
 // TestServeStatszInvariantUnderMalformedTraffic is the regression test
 // for decode failures skewing the metrics: malformed bodies used to
 // count an error on the query endpoint without counting a request, so

@@ -329,16 +329,16 @@ func TestServeStageSecondsPrometheus(t *testing.T) {
 
 	stages := map[string]struct{ count, sum float64 }{}
 	for _, s := range samples {
-		st := s.labels["stage"]
+		st := s.Labels["stage"]
 		if st == "" {
 			continue
 		}
 		v := stages[st]
-		switch s.name {
+		switch s.Name {
 		case "segdb_stage_seconds_count":
-			v.count = s.value
+			v.count = s.Value
 		case "segdb_stage_seconds_sum":
-			v.sum = s.value
+			v.sum = s.Value
 		}
 		stages[st] = v
 	}

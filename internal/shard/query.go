@@ -83,37 +83,6 @@ func (s *Store) QueryContext(ctx context.Context, q segdb.Query, emit func(segdb
 	return st, nil
 }
 
-// indexAdapter presents the sharded store as a segdb.Index (plus the
-// contextQuerier extension), so segdb.QueryBatchContext's worker pool
-// and cancellation contract drive the cross-shard fan-out unchanged.
-type indexAdapter struct{ s *Store }
-
-func (a indexAdapter) Query(q segdb.Query, emit func(segdb.Segment)) (segdb.QueryStats, error) {
-	return a.s.Query(q, emit)
-}
-
-func (a indexAdapter) QueryContext(ctx context.Context, q segdb.Query, emit func(segdb.Segment)) (segdb.QueryStats, error) {
-	return a.s.QueryContext(ctx, q, emit)
-}
-
-func (a indexAdapter) Insert(seg segdb.Segment) error {
-	_, err := a.s.Insert(seg)
-	return err
-}
-
-func (a indexAdapter) Delete(seg segdb.Segment) (bool, error) {
-	found, _, err := a.s.Delete(seg)
-	return found, err
-}
-
-func (a indexAdapter) Len() int { return a.s.Len() }
-
-func (a indexAdapter) Collect() ([]segdb.Segment, error) { return a.s.Collect() }
-
-func (a indexAdapter) Drop() error { return segdb.ErrUnsupported }
-
-var _ segdb.Index = indexAdapter{}
-
 // QueryBatch answers queries concurrently across the shards. It is
 // QueryBatchContext without a deadline.
 func (s *Store) QueryBatch(queries []segdb.Query, parallelism int) []segdb.BatchResult {
@@ -130,5 +99,5 @@ func (s *Store) QueryBatch(queries []segdb.Query, parallelism int) []segdb.Batch
 // cancellation partial results with ctx's error on the queries that did
 // not finish.
 func (s *Store) QueryBatchContext(ctx context.Context, queries []segdb.Query, parallelism int) []segdb.BatchResult {
-	return segdb.QueryBatchContext(ctx, indexAdapter{s}, queries, parallelism)
+	return segdb.QueryBatchContext(ctx, s, queries, parallelism)
 }
