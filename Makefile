@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-test benchmark fuzz-smoke serve-smoke repl-smoke shard-smoke trace-smoke wal-crash ci
+.PHONY: all build vet test race bench-test benchmark fuzz-smoke serve-smoke repl-smoke shard-smoke trace-smoke wal-crash ci
 
 all: ci
 
@@ -10,6 +10,8 @@ build:
 vet:
 	$(GO) vet ./...
 
+# Includes the I/O invariant: cmd/segbench's test reruns every
+# experiment and requires the tables recorded in EXPERIMENTS.md.
 test:
 	$(GO) test ./...
 
@@ -19,9 +21,6 @@ test:
 # serving mode) must pass under -race.
 race:
 	$(GO) test -race -run 'Concurrent|Race|Sync|Singleflight|Batch|Admission|Drain|Gate|Histogram|Serve|Crash|Repl|Shard|Compact|Run' ./internal/pager ./internal/server ./...
-
-bench:
-	$(GO) test -bench . -benchtime 1x ./...
 
 # The repo's benchmark (BENCHMARK.json): bench/ is a Go module of its
 # own, so the root module's build and test do not see it.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 
@@ -48,10 +49,10 @@ func avgReads(st *pager.Store, queries []geom.VQuery, fn func(geom.VQuery) (int,
 
 // runSol2Query measures Solution 2 query cost on the long-heavy workload
 // with fractional cascading on or off (experiments E7 and E6).
-func runSol2Query(seed int64, bridges bool) {
+func runSol2Query(w io.Writer, seed int64, bridges bool) {
 	rng := rand.New(rand.NewSource(seed))
-	fmt.Println("| N | reads/query | avg T | jumps/query | fallbacks/query | log_B n·(log_B n+log2 B) |")
-	fmt.Println("|---|-------------|-------|-------------|-----------------|----------------------------|")
+	fmt.Fprintln(w, "| N | reads/query | avg T | jumps/query | fallbacks/query | log_B n·(log_B n+log2 B) |")
+	fmt.Fprintln(w, "|---|-------------|-------|-------------|-----------------|----------------------------|")
 	for _, n := range []int{8000, 32000, 128000} {
 		segs := workload.WideLevels(rng, n, float64(n)/10)
 		box := workload.BBox(segs)
@@ -77,17 +78,17 @@ func runSol2Query(seed int64, bridges bool) {
 		reads := float64(st.Stats().Reads) / float64(len(queries))
 		nb := float64(n) / benchB
 		bound := logB(nb, benchB) * (logB(nb, benchB) + math.Log2(benchB))
-		fmt.Printf("| %d | %.1f | %.1f | %.1f | %.2f | %.1f |\n",
+		fmt.Fprintf(w, "| %d | %.1f | %.1f | %.1f | %.2f | %.1f |\n",
 			n, reads, float64(totT)/float64(len(queries)),
 			float64(jumps)/float64(len(queries)), float64(falls)/float64(len(queries)), bound)
 	}
 }
 
 func init() {
-	register("E1", "Lemma 2(ii): binary PST query cost scales with log2(n) + t", func(seed int64) {
+	register("E1", "Lemma 2(ii): binary PST query cost scales with log2(n) + t", func(w io.Writer, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		fmt.Println("| N | n=N/B | reads/query | avg T | log2 n | reads/log2 n |")
-		fmt.Println("|---|-------|-------------|-------|--------|--------------|")
+		fmt.Fprintln(w, "| N | n=N/B | reads/query | avg T | log2 n | reads/log2 n |")
+		fmt.Fprintln(w, "|---|-------|-------------|-------|--------|--------------|")
 		for _, n := range []int{4096, 16384, 65536, 262144} {
 			segs := workload.FanVertical(rng, n, 0, geom.SideRight, 100, float64(n))
 			st := newStore(benchB)
@@ -106,15 +107,15 @@ func init() {
 				return s.Reported, err
 			})
 			nb := float64(n) / benchB
-			fmt.Printf("| %d | %.0f | %.1f | %.1f | %.1f | %.2f |\n",
+			fmt.Fprintf(w, "| %d | %.0f | %.1f | %.1f | %.1f | %.2f |\n",
 				n, nb, reads, avgT, math.Log2(nb), reads/math.Log2(nb))
 		}
 	})
 
-	register("E2", "Lemma 3(ii) substitute: accelerated PST query cost scales with log_B(n) + t", func(seed int64) {
+	register("E2", "Lemma 3(ii) substitute: accelerated PST query cost scales with log_B(n) + t", func(w io.Writer, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		fmt.Println("| N | n=N/B | reads/query | avg T | log_f n | log2 n (E1 slope) |")
-		fmt.Println("|---|-------|-------------|-------|---------|--------------------|")
+		fmt.Fprintln(w, "| N | n=N/B | reads/query | avg T | log_f n | log2 n (E1 slope) |")
+		fmt.Fprintln(w, "|---|-------|-------------|-------|---------|--------------------|")
 		f, b := bpst.Shape(pageSize(benchB))
 		for _, n := range []int{4096, 16384, 65536, 262144} {
 			segs := workload.FanVertical(rng, n, 0, geom.SideRight, 100, float64(n))
@@ -134,15 +135,15 @@ func init() {
 				return s.Reported, err
 			})
 			nb := float64(n) / float64(b)
-			fmt.Printf("| %d | %.0f | %.1f | %.1f | %.1f | %.1f |\n",
+			fmt.Fprintf(w, "| %d | %.0f | %.1f | %.1f | %.1f | %.1f |\n",
 				n, nb, reads, avgT, logB(nb, float64(f)), math.Log2(nb))
 		}
 	})
 
-	register("E3", "Lemmas 2(i)/3(i): PST space is linear (pages per segment constant in n)", func(seed int64) {
+	register("E3", "Lemmas 2(i)/3(i): PST space is linear (pages per segment constant in n)", func(w io.Writer, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		fmt.Println("| N | binary PST pages | pages/N | accelerated pages | pages/N |")
-		fmt.Println("|---|------------------|---------|-------------------|---------|")
+		fmt.Fprintln(w, "| N | binary PST pages | pages/N | accelerated pages | pages/N |")
+		fmt.Fprintln(w, "|---|------------------|---------|-------------------|---------|")
 		for _, n := range []int{8192, 32768, 131072} {
 			segs := workload.FanVertical(rng, n, 0, geom.SideRight, 100, float64(n))
 			st1 := newStore(benchB)
@@ -153,16 +154,16 @@ func init() {
 			if _, err := bpst.Build(st2, 0, geom.SideRight, segs); err != nil {
 				panic(err)
 			}
-			fmt.Printf("| %d | %d | %.4f | %d | %.4f |\n", n,
+			fmt.Fprintf(w, "| %d | %d | %.4f | %d | %.4f |\n", n,
 				st1.PagesInUse(), float64(st1.PagesInUse())/float64(n),
 				st2.PagesInUse(), float64(st2.PagesInUse())/float64(n))
 		}
 	})
 
-	register("E4", "Theorem 1(ii): Solution 1 query cost vs n (layers workload)", func(seed int64) {
+	register("E4", "Theorem 1(ii): Solution 1 query cost vs n (layers workload)", func(w io.Writer, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		fmt.Println("| N | reads/query | avg T | log2(n)·log_B(n) | ratio | plain-PST reads (ablation) |")
-		fmt.Println("|---|-------------|-------|------------------|-------|----------------------------|")
+		fmt.Fprintln(w, "| N | reads/query | avg T | log2(n)·log_B(n) | ratio | plain-PST reads (ablation) |")
+		fmt.Fprintln(w, "|---|-------------|-------|------------------|-------|----------------------------|")
 		for _, n := range []int{4000, 16000, 64000} {
 			segs := workload.Layers(rng, n/100, 100, float64(n))
 			box := workload.BBox(segs)
@@ -183,38 +184,38 @@ func init() {
 			plainReads, _ := measure(true)
 			nb := float64(len(segs)) / benchB
 			bound := math.Log2(nb) * logB(nb, benchB)
-			fmt.Printf("| %d | %.1f | %.1f | %.1f | %.2f | %.1f |\n",
+			fmt.Fprintf(w, "| %d | %.1f | %.1f | %.1f | %.2f | %.1f |\n",
 				len(segs), reads, avgT, bound, reads/bound, plainReads)
 		}
 	})
 
-	register("E5", "Theorem 1(i): Solution 1 space is linear", func(seed int64) {
+	register("E5", "Theorem 1(i): Solution 1 space is linear", func(w io.Writer, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		fmt.Println("| N | pages | pages/N |")
-		fmt.Println("|---|-------|---------|")
+		fmt.Fprintln(w, "| N | pages | pages/N |")
+		fmt.Fprintln(w, "|---|-------|---------|")
 		for _, n := range []int{4000, 16000, 64000} {
 			segs := workload.Layers(rng, n/100, 100, float64(n))
 			st := newStore(benchB)
 			if _, err := sol1.Build(st, sol1.Config{B: benchB}, segs); err != nil {
 				panic(err)
 			}
-			fmt.Printf("| %d | %d | %.4f |\n", len(segs), st.PagesInUse(),
+			fmt.Fprintf(w, "| %d | %d | %.4f |\n", len(segs), st.PagesInUse(),
 				float64(st.PagesInUse())/float64(len(segs)))
 		}
 	})
 
-	register("E6", "Lemma 4(ii): Solution 2 query cost WITHOUT fractional cascading", func(seed int64) {
-		runSol2Query(seed, false)
+	register("E6", "Lemma 4(ii): Solution 2 query cost WITHOUT fractional cascading", func(w io.Writer, seed int64) {
+		runSol2Query(w, seed, false)
 	})
 
-	register("E7", "Theorem 2(ii): Solution 2 query cost WITH fractional cascading (E6 vs E7 = ablation)", func(seed int64) {
-		runSol2Query(seed, true)
+	register("E7", "Theorem 2(ii): Solution 2 query cost WITH fractional cascading (E6 vs E7 = ablation)", func(w io.Writer, seed int64) {
+		runSol2Query(w, seed, true)
 	})
 
-	register("E8", "Theorem 2(i): Solution 2 space is O(n·log2 B)", func(seed int64) {
+	register("E8", "Theorem 2(i): Solution 2 space is O(n·log2 B)", func(w io.Writer, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		fmt.Println("| N | pages | pages/N | pages/(n·log2 B) |")
-		fmt.Println("|---|-------|---------|-------------------|")
+		fmt.Fprintln(w, "| N | pages | pages/N | pages/(n·log2 B) |")
+		fmt.Fprintln(w, "|---|-------|---------|-------------------|")
 		for _, n := range []int{4000, 16000, 64000} {
 			segs := workload.WideLevels(rng, n, float64(n))
 			st := newStore(benchB)
@@ -222,13 +223,13 @@ func init() {
 				panic(err)
 			}
 			nb := float64(n) / benchB
-			fmt.Printf("| %d | %d | %.4f | %.3f |\n", n, st.PagesInUse(),
+			fmt.Fprintf(w, "| %d | %d | %.4f | %.3f |\n", n, st.PagesInUse(),
 				float64(st.PagesInUse())/float64(n),
 				float64(st.PagesInUse())/(nb*math.Log2(benchB)))
 		}
 	})
 
-	register("E9", "output sensitivity: the +t term (reads grow by ~1 page per B answers)", func(seed int64) {
+	register("E9", "output sensitivity: the +t term (reads grow by ~1 page per B answers)", func(w io.Writer, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		const n = 64000
 		segs := workload.Layers(rng, n/100, 100, float64(n))
@@ -238,8 +239,8 @@ func init() {
 		if err != nil {
 			panic(err)
 		}
-		fmt.Println("| query height | avg T | reads/query | (reads-base)/t |")
-		fmt.Println("|--------------|-------|-------------|-----------------|")
+		fmt.Fprintln(w, "| query height | avg T | reads/query | (reads-base)/t |")
+		fmt.Fprintln(w, "|--------------|-------|-------------|-----------------|")
 		base := 0.0
 		for i, h := range []float64{0.5, 5, 50, 200, 640} {
 			queries := workload.RandomVS(rng, benchProbe, box, 0)
@@ -258,14 +259,14 @@ func init() {
 			if t > 0.5 {
 				slope = (reads - base) / t
 			}
-			fmt.Printf("| %g | %.1f | %.1f | %.2f |\n", h, avgT, reads, slope)
+			fmt.Fprintf(w, "| %g | %.1f | %.1f | %.2f |\n", h, avgT, reads, slope)
 		}
 	})
 
-	register("E10", "Theorem 1(iii): Solution 1 amortized insert cost", func(seed int64) {
+	register("E10", "Theorem 1(iii): Solution 1 amortized insert cost", func(w io.Writer, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		fmt.Println("| N inserted | I/Os per insert (amortized) | log2 n |")
-		fmt.Println("|------------|------------------------------|--------|")
+		fmt.Fprintln(w, "| N inserted | I/Os per insert (amortized) | log2 n |")
+		fmt.Fprintln(w, "|------------|------------------------------|--------|")
 		for _, n := range []int{4000, 16000, 64000} {
 			segs := workload.Layers(rng, n/100, 100, float64(n))
 			st := newStore(benchB)
@@ -280,14 +281,14 @@ func init() {
 				}
 			}
 			per := float64(st.Stats().IOs()) / float64(len(segs))
-			fmt.Printf("| %d | %.1f | %.1f |\n", len(segs), per, math.Log2(float64(len(segs))/benchB))
+			fmt.Fprintf(w, "| %d | %.1f | %.1f |\n", len(segs), per, math.Log2(float64(len(segs))/benchB))
 		}
 	})
 
-	register("E11", "Theorem 2(iii): Solution 2 amortized insert cost", func(seed int64) {
+	register("E11", "Theorem 2(iii): Solution 2 amortized insert cost", func(w io.Writer, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		fmt.Println("| N inserted | I/Os per insert (amortized) | log_B n + log2 B |")
-		fmt.Println("|------------|------------------------------|-------------------|")
+		fmt.Fprintln(w, "| N inserted | I/Os per insert (amortized) | log_B n + log2 B |")
+		fmt.Fprintln(w, "|------------|------------------------------|-------------------|")
 		for _, n := range []int{4000, 16000, 64000} {
 			segs := workload.Levels(rng, n, float64(n), 1.3)
 			st := newStore(benchB)
@@ -303,14 +304,14 @@ func init() {
 			}
 			per := float64(st.Stats().IOs()) / float64(len(segs))
 			nb := float64(n) / benchB
-			fmt.Printf("| %d | %.1f | %.1f |\n", n, per, logB(nb, benchB)+math.Log2(benchB))
+			fmt.Fprintf(w, "| %d | %.1f | %.1f |\n", n, per, logB(nb, benchB)+math.Log2(benchB))
 		}
 	})
 
-	register("E12", "VS query vs stab-and-filter: the t vs t_line gap (tall stacks)", func(seed int64) {
+	register("E12", "VS query vs stab-and-filter: the t vs t_line gap (tall stacks)", func(w io.Writer, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		fmt.Println("| stack height | avg T | avg T_line | sol1 reads | sol2 reads | stab+filter reads | scan reads |")
-		fmt.Println("|--------------|-------|------------|------------|------------|--------------------|------------|")
+		fmt.Fprintln(w, "| stack height | avg T | avg T_line | sol1 reads | sol2 reads | stab+filter reads | scan reads |")
+		fmt.Fprintln(w, "|--------------|-------|------------|------------|------------|--------------------|------------|")
 		for _, height := range []int{16, 64, 256, 1024} {
 			cols := 16384 / height
 			segs := workload.Stacks(cols, height, 20)
@@ -370,16 +371,16 @@ func init() {
 				return s.Reported, err
 			})
 
-			fmt.Printf("| %d | %.1f | %.1f | %.1f | %.1f | %.1f | %.1f |\n",
+			fmt.Fprintf(w, "| %d | %.1f | %.1f | %.1f | %.1f | %.1f | %.1f |\n",
 				height, avgT, avgLine, r1, r2, rBase, rScan)
 		}
 	})
 
-	register("E13", "block-size sensitivity: query cost vs B at fixed N", func(seed int64) {
+	register("E13", "block-size sensitivity: query cost vs B at fixed N", func(w io.Writer, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		const n = 32000
-		fmt.Println("| B | sol1 reads | sol2 reads | log2(n/B)·log_B(n/B) |")
-		fmt.Println("|---|------------|------------|------------------------|")
+		fmt.Fprintln(w, "| B | sol1 reads | sol2 reads | log2(n/B)·log_B(n/B) |")
+		fmt.Fprintln(w, "|---|------------|------------|------------------------|")
 		for _, b := range []int{8, 16, 32, 64, 128} {
 			segs := workload.Layers(rng, n/100, 100, float64(n))
 			box := workload.BBox(segs)
@@ -405,11 +406,11 @@ func init() {
 				return s.Reported, err
 			})
 			nb := float64(len(segs)) / float64(b)
-			fmt.Printf("| %d | %.1f | %.1f | %.1f |\n", b, r1, r2, math.Log2(nb)*logB(nb, float64(b)))
+			fmt.Fprintf(w, "| %d | %.1f | %.1f | %.1f |\n", b, r1, r2, math.Log2(nb)*logB(nb, float64(b)))
 		}
 	})
 
-	register("E14", "Figure 7 / d-property: bridge spacing sweep on one G structure", func(seed int64) {
+	register("E14", "Figure 7 / d-property: bridge spacing sweep on one G structure", func(w io.Writer, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		bds := make([]float64, 16)
 		for i := range bds {
@@ -431,8 +432,8 @@ func init() {
 			y := rng.Float64() * 20000
 			queries[i] = geom.VSeg(x, y, y+20)
 		}
-		fmt.Println("| d | reads/query (bridges) | reads/query (no bridges) | jumps/query | fallbacks/query | pages |")
-		fmt.Println("|---|------------------------|---------------------------|-------------|-----------------|-------|")
+		fmt.Fprintln(w, "| d | reads/query (bridges) | reads/query (no bridges) | jumps/query | fallbacks/query | pages |")
+		fmt.Fprintln(w, "|---|------------------------|---------------------------|-------------|-----------------|-------|")
 		for _, d := range []int{2, 4, 8, 16} {
 			st := newStore(benchB)
 			g, err := multislab.BuildG(st, bds, d, frags)
@@ -457,7 +458,7 @@ func init() {
 			}
 			rOn, j, f := run(true)
 			rOff, _, _ := run(false)
-			fmt.Printf("| %d | %.1f | %.1f | %.1f | %.2f | %d |\n", d, rOn, rOff, j, f, st.PagesInUse())
+			fmt.Fprintf(w, "| %d | %.1f | %.1f | %.1f | %.2f | %d |\n", d, rOn, rOff, j, f, st.PagesInUse())
 		}
 	})
 }

@@ -2,17 +2,12 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
-	"sync/atomic"
-	"time"
 
-	"segdb"
 	"segdb/internal/geom"
 	"segdb/internal/pager"
-	"segdb/internal/shard"
 	"segdb/internal/sol1"
 	"segdb/internal/sol2"
 	"segdb/internal/workload"
@@ -21,14 +16,14 @@ import (
 // Experiments beyond the paper's claims: engineering sensitivities a
 // deployment would want quantified.
 func init() {
-	register("E15", "buffer-pool sensitivity: physical reads per query vs cache size", func(seed int64) {
+	register("E15", "buffer-pool sensitivity: physical reads per query vs cache size", func(w io.Writer, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		const n = 32000
 		segs := workload.Layers(rng, n/100, 100, float64(n))
 		box := workload.BBox(segs)
 		queries := workload.RandomVS(rng, benchProbe, box, 5)
-		fmt.Println("| pool pages | physical reads/query | cache hits/query |")
-		fmt.Println("|------------|----------------------|-------------------|")
+		fmt.Fprintln(w, "| pool pages | physical reads/query | cache hits/query |")
+		fmt.Fprintln(w, "|------------|----------------------|-------------------|")
 		for _, pool := range []int{0, 8, 64, 512, 4096} {
 			st := pager.MustOpenMem(pageSize(benchB), pool)
 			ix, err := sol2.Build(st, sol2.Config{B: benchB}, segs)
@@ -43,13 +38,13 @@ func init() {
 				}
 			}
 			s := st.Stats()
-			fmt.Printf("| %d | %.1f | %.1f |\n", pool,
+			fmt.Fprintf(w, "| %d | %.1f | %.1f |\n", pool,
 				float64(s.Reads)/float64(len(queries)),
 				float64(s.CacheHits)/float64(len(queries)))
 		}
 	})
 
-	register("E16", "workload-family sweep: query cost across data shapes (N≈16k)", func(seed int64) {
+	register("E16", "workload-family sweep: query cost across data shapes (N≈16k)", func(w io.Writer, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		families := []struct {
 			name string
@@ -61,8 +56,8 @@ func init() {
 			{"wide (long-heavy)", workload.WideLevels(rng, 16000, 1600)},
 			{"stacks (columns)", workload.Stacks(160, 100, 20)},
 		}
-		fmt.Println("| family | N | sol1 reads | sol2 reads | avg T |")
-		fmt.Println("|--------|---|------------|------------|-------|")
+		fmt.Fprintln(w, "| family | N | sol1 reads | sol2 reads | avg T |")
+		fmt.Fprintln(w, "|--------|---|------------|------------|-------|")
 		for _, f := range families {
 			box := workload.BBox(f.segs)
 			queries := workload.RandomVS(rng, benchProbe, box, (box.MaxY-box.MinY)/50)
@@ -85,14 +80,14 @@ func init() {
 				s, err := ix2.Query(q, func(geom.Segment) {})
 				return s.Reported, err
 			})
-			fmt.Printf("| %s | %d | %.1f | %.1f | %.1f |\n", f.name, len(f.segs), r1, r2, avgT)
+			fmt.Fprintf(w, "| %s | %d | %.1f | %.1f | %.1f |\n", f.name, len(f.segs), r1, r2, avgT)
 		}
 	})
 
-	register("E17", "ingestion pipeline: planarize raw crossing data, then index it", func(seed int64) {
+	register("E17", "ingestion pipeline: planarize raw crossing data, then index it", func(w io.Writer, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		fmt.Println("| raw segments | NCT pieces | pieces/raw | planarize+build pages | reads/query |")
-		fmt.Println("|--------------|------------|------------|------------------------|-------------|")
+		fmt.Fprintln(w, "| raw segments | NCT pieces | pieces/raw | planarize+build pages | reads/query |")
+		fmt.Fprintln(w, "|--------------|------------|------------|------------------------|-------------|")
 		for _, n := range []int{2000, 8000, 32000} {
 			raw := make([]geom.Segment, n)
 			span := 4 * float64(n)
@@ -120,16 +115,16 @@ func init() {
 				s, err := ix.Query(q, func(geom.Segment) {})
 				return s.Reported, err
 			})
-			fmt.Printf("| %d | %d | %.2f | %d | %.1f |\n",
+			fmt.Fprintf(w, "| %d | %d | %.2f | %d | %.1f |\n",
 				n, len(segs), float64(len(segs))/float64(n), st.PagesInUse(), reads)
 		}
 	})
 
-	register("E18", "amortization anatomy: worst single insert vs amortized (rebuild spikes)", func(seed int64) {
+	register("E18", "amortization anatomy: worst single insert vs amortized (rebuild spikes)", func(w io.Writer, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		const n = 16000
-		fmt.Println("| structure | amortized I/Os | p99 I/Os | max I/Os (worst rebuild) |")
-		fmt.Println("|-----------|----------------|----------|---------------------------|")
+		fmt.Fprintln(w, "| structure | amortized I/Os | p99 I/Os | max I/Os (worst rebuild) |")
+		fmt.Fprintln(w, "|-----------|----------------|----------|---------------------------|")
 		run := func(name string, mk func(st *pager.Store) func(geom.Segment) error, segs []geom.Segment) {
 			st := newStore(benchB)
 			insert := mk(st)
@@ -154,7 +149,7 @@ func init() {
 			sorted := append([]int64{}, costs...)
 			sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
 			p99 := sorted[len(sorted)*99/100]
-			fmt.Printf("| %s | %.1f | %d | %d |\n", name,
+			fmt.Fprintf(w, "| %s | %.1f | %d | %d |\n", name,
 				float64(total)/float64(len(costs)), p99, maxC)
 		}
 		segs := workload.Layers(rng, n/100, 100, float64(n))
@@ -174,154 +169,4 @@ func init() {
 			return ix.Insert
 		}, segs2)
 	})
-
-	register("E19", "concurrent serving: QueryBatch scaling and shard balance (cache-resident)", func(seed int64) {
-		rng := rand.New(rand.NewSource(seed))
-		const n = 32000
-		segs := workload.Layers(rng, n/100, 100, float64(n))
-		st := pager.MustOpenMem(pageSize(benchB), 1<<14)
-		raw, err := segdb.BuildSolution2(st, segdb.Options{B: benchB}, segs)
-		if err != nil {
-			panic(err)
-		}
-		ix := segdb.Synchronized(raw)
-		box := workload.BBox(segs)
-		queries := workload.RandomVS(rng, 2048, box, 5)
-		segdb.QueryBatch(ix, queries, 1) // warm: steady-state serving is pool-resident
-
-		var base float64
-		fmt.Println("| parallelism | queries/sec | speedup | pool hit ratio |")
-		fmt.Println("|-------------|-------------|---------|-----------------|")
-		for _, par := range []int{1, 2, 4, 8} {
-			st.ResetStats()
-			start := time.Now()
-			for _, r := range segdb.QueryBatch(ix, queries, par) {
-				if r.Err != nil {
-					panic(r.Err)
-				}
-			}
-			qps := float64(len(queries)) / time.Since(start).Seconds()
-			if par == 1 {
-				base = qps
-			}
-			fmt.Printf("| %d | %.0f | %.2fx | %.3f |\n", par, qps, qps/base, st.Stats().HitRatio())
-		}
-
-		shards := st.StatsByShard()
-		minA, maxA := int64(-1), int64(0)
-		for _, s := range shards {
-			if a := s.Reads + s.CacheHits; minA < 0 || a < minA {
-				minA = a
-			}
-			if a := s.Reads + s.CacheHits; a > maxA {
-				maxA = a
-			}
-		}
-		fmt.Printf("\nshard balance over %d shards (last run): min %d / max %d page accesses\n",
-			len(shards), minA, maxA)
-	})
-
-	register("E21", "scatter-gather sharding: QueryBatch wall-clock and I/O vs K (large layered map)", func(seed int64) {
-		rng := rand.New(rand.NewSource(seed))
-		const n = 240000
-		segs := workload.Layers(rng, n/100, 100, float64(n))
-		box := workload.BBox(segs)
-		queries := workload.RandomVS(rng, 4096, box, 5)
-
-		root, err := os.MkdirTemp("", "segdb-e21-")
-		if err != nil {
-			panic(err)
-		}
-		defer os.RemoveAll(root)
-
-		// Scale-out configuration: every shard is provisioned like the
-		// original single node (same per-shard pool), so the aggregate
-		// pool grows with K and the per-query pool-miss count falls — the
-		// production win of sharding across machines. The testbed's files
-		// are RAM-cached, so a raw wall-clock would price those misses at
-		// ~1us; E15 already counts them as physical reads, and here each
-		// one is charged a modeled NVMe read (missLatency, deterministic
-		// spin) so the measured miss reduction is visible in wall-clock.
-		// The timed batch runs at parallelism 1 — a single client, whose
-		// wall-clock is per-query latency; on a multicore host the
-		// cross-shard fan-out stacks a parallel speedup on top (E19).
-		const perShardCache = 1 << 11
-		const missLatency = 50 * time.Microsecond
-		var gate atomic.Bool
-		var base float64
-		fmt.Printf("modeled miss cost %v; per-shard pool %d pages; timed at parallelism 1\n\n",
-			missLatency, perShardCache)
-		fmt.Println("| K | build | queries/sec | speedup | page accesses/query | pool misses/query | spanner entries |")
-		fmt.Println("|---|-------|-------------|---------|---------------------|--------------------|------------------|")
-		for _, k := range []int{1, 2, 4, 8} {
-			cfg := shard.Config{
-				Shards:  k,
-				Durable: segdb.DurableOptions{Build: segdb.Options{B: benchB}, CachePages: perShardCache},
-			}
-			cfg.PerShard = func(_ int, dopt *segdb.DurableOptions) {
-				dopt.LiveDevice = func(dev pager.Device) pager.Device {
-					return slowDev{Device: dev, gate: &gate, latency: missLatency}
-				}
-			}
-			gate.Store(false)
-			t0 := time.Now()
-			st, err := shard.Create(filepath.Join(root, fmt.Sprintf("k%d", k)), cfg, segs)
-			if err != nil {
-				panic(err)
-			}
-			buildT := time.Since(t0)
-			st.QueryBatch(queries, 8) // warm to steady state, miss cost off
-			gate.Store(true)
-			start := time.Now()
-			results := st.QueryBatch(queries, 1)
-			elapsed := time.Since(start)
-			gate.Store(false)
-			for _, r := range results {
-				if r.Err != nil {
-					panic(r.Err)
-				}
-			}
-			qps := float64(len(queries)) / elapsed.Seconds()
-			if k == 1 {
-				base = qps
-			}
-			m := segdb.MergeBatchStats(results)
-			spanners := 0
-			for _, row := range st.ShardStatus() {
-				spanners += row.Spanners
-			}
-			fmt.Printf("| %d | %.1fs | %.0f | %.2fx | %.2f | %.2f | %d |\n",
-				k, buildT.Seconds(), qps, qps/base,
-				float64(m.PagesRead+m.PoolHits)/float64(len(queries)),
-				float64(m.PagesRead)/float64(len(queries)), spanners)
-			if err := st.Close(); err != nil {
-				panic(err)
-			}
-		}
-		fmt.Println("\npage accesses/query falls slowly with K (each query hits one slab's")
-		fmt.Println("shallower tree; boundary crossers answer from the RAM spanner lists, the")
-		fmt.Println("'spanner-list constant'); misses/query falls because each shard's pool")
-		fmt.Println("covers a growing fraction of its slab — at K=8 the whole store is")
-		fmt.Println("pool-resident and the speedup is the full modeled-I/O elimination.")
-	})
-}
-
-// slowDev charges a modeled storage read latency on every page read that
-// falls through to the device — E21's stand-in for an NVMe-class disk on
-// a testbed whose files are RAM-cached. The wait is a monotonic-clock
-// spin, not a sleep: deterministic at microsecond scale, and equivalent
-// for a single-client measurement where the core would otherwise idle.
-// The gate keeps builds and warmups fast.
-type slowDev struct {
-	pager.Device
-	gate    *atomic.Bool
-	latency time.Duration
-}
-
-func (d slowDev) ReadPage(idx uint32, p []byte) error {
-	if d.gate.Load() {
-		for start := time.Now(); time.Since(start) < d.latency; {
-		}
-	}
-	return d.Device.ReadPage(idx, p)
 }

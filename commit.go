@@ -3,7 +3,6 @@ package segdb
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"segdb/internal/core"
 	"segdb/internal/pager"
@@ -108,11 +107,7 @@ func buildIndexFile(path string, opt Options, sol int, segs []Segment, wrap devi
 	// Commit point 2: the atomic rename, made durable by the directory
 	// fsync. Before the rename a crash leaves the old file; after it, the
 	// new one.
-	if err = os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("segdb: build %s: commit rename: %w", path, err)
-	}
-	if err = syncDir(filepath.Dir(path)); err != nil {
+	if err = pager.CommitFile(tmp, path); err != nil {
 		return fmt.Errorf("segdb: build %s: %w", path, err)
 	}
 	return nil
@@ -155,17 +150,4 @@ func compactIndexFile(path string, wrap deviceWrapper) error {
 		return fmt.Errorf("segdb: compact %s: close: %w", path, err)
 	}
 	return buildIndexFile(path, opt, sol, segs, wrap)
-}
-
-// syncDir fsyncs a directory, making a just-committed rename durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("sync dir: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("sync dir %s: %w", dir, err)
-	}
-	return nil
 }

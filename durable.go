@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -223,6 +222,7 @@ func openDurableIndex(path string, dopt DurableOptions, walFile wal.File, wrap d
 		mem.Close()
 		return nil, fmt.Errorf("segdb: durable index %s: rebuild live: %w", path, err)
 	}
+	live := SynchronizedOn(liveIx, mem)
 
 	var pos replPosition
 	log, err := wal.Open(walFile, dopt.GroupCommitWindow, func(r wal.Record) error {
@@ -233,17 +233,11 @@ func openDurableIndex(path string, dopt DurableOptions, walFile wal.File, wrap d
 			pos = replPosition{epoch: e, lsn: lsn, ok: true}
 			return nil
 		}
-		// Upsert replay: the checkpoint may already hold this record
-		// (crash between checkpoint rename and log rotation), so insert
-		// is delete-then-insert and a delete of an absent segment is a
-		// no-op. Either way the state converges on apply order.
-		if _, err := liveIx.Delete(r.Seg); err != nil {
+		// The checkpoint may already hold this record (crash between
+		// checkpoint rename and log rotation); apply is an upsert, so the
+		// state converges on apply order either way.
+		if _, _, err := live.apply(r); err != nil {
 			return err
-		}
-		if r.Op == wal.OpInsert {
-			if err := liveIx.Insert(r.Seg); err != nil {
-				return err
-			}
 		}
 		if pos.ok {
 			pos.lsn += wal.RecordSize
@@ -262,7 +256,7 @@ func openDurableIndex(path string, dopt DurableOptions, walFile wal.File, wrap d
 		opt:       opt,
 		wrap:      wrap,
 		replPos:   pos,
-		live:      SynchronizedOn(liveIx, mem),
+		live:      live,
 		mem:       mem,
 		log:       log,
 	}
@@ -295,34 +289,15 @@ func loadEpoch(path string) (uint64, error) {
 	return e, nil
 }
 
-// storeEpoch durably replaces the epoch sidecar: tmp write, fsync,
-// rename, directory fsync — same commit shape as the checkpoint itself,
-// so a crash leaves the old epoch or the new one, never garbage.
+// storeEpoch durably replaces the epoch sidecar through the publish
+// protocol — same commit shape as the checkpoint itself, so a crash
+// leaves the old epoch or the new one, never garbage.
 func storeEpoch(path string, e uint64) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	err := pager.PublishFile(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, strconv.FormatUint(e, 10)+"\n")
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("store epoch: %w", err)
-	}
-	if _, err := f.WriteString(strconv.FormatUint(e, 10) + "\n"); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store epoch: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store epoch: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store epoch: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store epoch: %w", err)
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("store epoch: %w", err)
 	}
 	return nil
@@ -337,11 +312,41 @@ func (d *DurableIndex) Index() *SyncIndex { return d.live }
 // stats.
 func (d *DurableIndex) Store() *Store { return d.mem }
 
+// apply applies one logged index update under the exclusive lock. It is
+// the one upsert rule the write path, recovery replay and
+// ApplyReplicated share: an insert is delete-then-insert and a delete
+// of an absent segment is a no-op, so re-applying a record the state
+// already holds — a checkpoint that contains part of its log, a
+// redelivered replication batch, a re-insert of an identical segment —
+// converges on one copy. A plain insert would let the live index hold
+// exact duplicates that replay (and every replica) collapses, and the
+// first logged delete of such a segment would then diverge the live
+// state from anything the WAL can reconstruct.
+//
+// had reports whether the segment was present before. The returned
+// window covers the record's own operation: the insert for OpInsert (not
+// the delete that precedes it), the delete for OpDelete.
+func (s *SyncIndex) apply(rec wal.Record) (had bool, st UpdateStats, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.fatal != nil {
+		return false, UpdateStats{}, s.fatal
+	}
+	w, w0 := s.beginWrite()
+	had, err = s.ix.Delete(rec.Seg)
+	if err == nil && rec.Op == wal.OpInsert {
+		w, w0 = s.beginWrite()
+		err = s.ix.Insert(rec.Seg)
+	}
+	return had, s.endWrite(w, w0), err
+}
+
 // Insert durably adds a segment: it applies to the live index, appends
 // an insert record, and returns once the record is fsync-covered. On
 // success the segment survives any crash; on error it was either never
-// applied (validation) or never acknowledged. The caller owns the NCT
-// contract, as with every Insert in this package.
+// applied (validation) or never acknowledged. Re-inserting an identical
+// segment keeps one copy (see apply). The caller owns the NCT contract,
+// as with every Insert in this package.
 func (d *DurableIndex) Insert(seg Segment) (UpdateStats, error) {
 	return d.InsertContext(context.Background(), seg)
 }
@@ -352,51 +357,67 @@ func (d *DurableIndex) Insert(seg Segment) (UpdateStats, error) {
 // wal_commit (the group-commit acknowledgement, with a wal_fsync child
 // when this commit led the fsync). An untraced ctx adds no timing work.
 func (d *DurableIndex) InsertContext(ctx context.Context, seg Segment) (UpdateStats, error) {
-	if d.replica {
-		return UpdateStats{}, ErrReplica
-	}
-	st, lsn, err := d.applyInsert(ctx, seg)
-	if err != nil {
-		return st, err
-	}
-	return st, d.syncTraced(ctx, lsn)
+	_, st, err := d.update(ctx, wal.Record{Op: wal.OpInsert, Seg: seg})
+	return st, err
 }
 
-// applyInsert is Insert's apply+append step, atomic under upMu. The
-// apply is an upsert — delete-then-insert, exactly what replay and
-// ApplyReplicated do with the record — so re-inserting an identical
-// segment keeps one copy everywhere. A plain insert would let the live
-// index hold exact duplicates that replay (and every replica) collapses,
-// and the first logged delete of such a segment would then diverge the
-// live state from anything the WAL can reconstruct.
-func (d *DurableIndex) applyInsert(ctx context.Context, seg Segment) (UpdateStats, int64, error) {
+// Delete durably removes a segment. A segment that was not present is
+// (false, nil) and writes no record.
+func (d *DurableIndex) Delete(seg Segment) (bool, UpdateStats, error) {
+	return d.DeleteContext(context.Background(), seg)
+}
+
+// DeleteContext is Delete with trace attribution; see InsertContext for
+// the span layout.
+func (d *DurableIndex) DeleteContext(ctx context.Context, seg Segment) (bool, UpdateStats, error) {
+	return d.update(ctx, wal.Record{Op: wal.OpDelete, Seg: seg})
+}
+
+// update is the durable write path of Insert and Delete: apply+append
+// under upMu, then the group-commit acknowledgement outside it. had
+// reports whether the segment was present before.
+func (d *DurableIndex) update(ctx context.Context, rec wal.Record) (had bool, st UpdateStats, err error) {
+	if d.replica {
+		return false, UpdateStats{}, ErrReplica
+	}
+	had, st, lsn, err := d.applyLogged(ctx, rec)
+	if err != nil || lsn == 0 {
+		return had, st, err
+	}
+	return had, st, d.syncTraced(ctx, lsn)
+}
+
+// applyLogged applies rec to the live index and appends it to the log,
+// atomically under upMu. lsn is 0 when nothing was logged: the delete of
+// an absent segment changes nothing and writes no record.
+func (d *DurableIndex) applyLogged(ctx context.Context, rec wal.Record) (had bool, st UpdateStats, lsn int64, err error) {
 	d.upMu.Lock()
 	defer d.upMu.Unlock()
 	if err := d.log.Wedged(); err != nil {
-		return UpdateStats{}, 0, err
+		return false, UpdateStats{}, 0, err
+	}
+	op, undo := "insert", wal.OpDelete
+	if rec.Op == wal.OpDelete {
+		op, undo = "delete", wal.OpInsert
 	}
 	traced := trace.Active(ctx)
 	var t0 time.Time
 	if traced {
 		t0 = time.Now()
 	}
-	had, err := d.live.Delete(seg)
-	if err != nil {
-		return UpdateStats{}, 0, err
-	}
-	st, err := d.live.InsertStats(seg)
+	had, st, err = d.live.apply(rec)
 	if traced {
 		trace.AddSpan(ctx, trace.StageApply, time.Since(t0),
-			trace.Tag{K: "op", V: "insert"},
+			trace.Tag{K: "op", V: op},
 			trace.Tag{K: "pages_written", V: strconv.FormatInt(st.PagesWritten, 10)})
 	}
-	if err != nil {
-		return st, 0, err
+	if err != nil || (rec.Op == wal.OpDelete && !had) {
+		return had, st, 0, err
 	}
 	if traced {
 		t0 = time.Now()
 	}
-	lsn, err := d.log.Append(wal.Record{Op: wal.OpInsert, Seg: seg})
+	lsn, err = d.log.Append(rec)
 	if traced {
 		trace.AddSpan(ctx, trace.StageWALAppend, time.Since(t0))
 	}
@@ -409,33 +430,14 @@ func (d *DurableIndex) applyInsert(ctx context.Context, seg Segment) (UpdateStat
 		// WAL cannot reconstruct. An upserted-over duplicate needs no
 		// reinstating: the delete+insert left the same single copy the
 		// log already reconstructs.
-		if !had {
-			if _, rerr := d.live.Delete(seg); rerr != nil {
-				d.live.poison(fmt.Errorf("segdb: insert %d: rollback after append failure (%v) failed: %w", seg.ID, err, rerr))
+		if rec.Op == wal.OpDelete || !had {
+			if _, _, rerr := d.live.apply(wal.Record{Op: undo, Seg: rec.Seg}); rerr != nil {
+				d.live.poison(fmt.Errorf("segdb: %s %d: rollback after append failure (%v) failed: %w", op, rec.Seg.ID, err, rerr))
 			}
 		}
-		return st, 0, err
+		return had, st, 0, err
 	}
-	return st, lsn, nil
-}
-
-// Delete durably removes a segment. A segment that was not present is
-// (false, nil) and writes no record.
-func (d *DurableIndex) Delete(seg Segment) (bool, UpdateStats, error) {
-	return d.DeleteContext(context.Background(), seg)
-}
-
-// DeleteContext is Delete with trace attribution; see InsertContext for
-// the span layout.
-func (d *DurableIndex) DeleteContext(ctx context.Context, seg Segment) (bool, UpdateStats, error) {
-	if d.replica {
-		return false, UpdateStats{}, ErrReplica
-	}
-	found, st, lsn, err := d.applyDelete(ctx, seg)
-	if err != nil || !found {
-		return found, st, err
-	}
-	return found, st, d.syncTraced(ctx, lsn)
+	return had, st, lsn, nil
 }
 
 // syncTraced acknowledges lsn through the group commit. On a traced ctx
@@ -468,43 +470,6 @@ func (d *DurableIndex) syncTraced(ctx context.Context, lsn int64) error {
 	}
 	sp.End()
 	return err
-}
-
-// applyDelete is Delete's apply+append step, atomic under upMu.
-func (d *DurableIndex) applyDelete(ctx context.Context, seg Segment) (bool, UpdateStats, int64, error) {
-	d.upMu.Lock()
-	defer d.upMu.Unlock()
-	if err := d.log.Wedged(); err != nil {
-		return false, UpdateStats{}, 0, err
-	}
-	traced := trace.Active(ctx)
-	var t0 time.Time
-	if traced {
-		t0 = time.Now()
-	}
-	found, st, err := d.live.DeleteStats(seg)
-	if traced {
-		trace.AddSpan(ctx, trace.StageApply, time.Since(t0),
-			trace.Tag{K: "op", V: "delete"},
-			trace.Tag{K: "pages_written", V: strconv.FormatInt(st.PagesWritten, 10)})
-	}
-	if err != nil || !found {
-		return found, st, 0, err
-	}
-	if traced {
-		t0 = time.Now()
-	}
-	lsn, err := d.log.Append(wal.Record{Op: wal.OpDelete, Seg: seg})
-	if traced {
-		trace.AddSpan(ctx, trace.StageWALAppend, time.Since(t0))
-	}
-	if err != nil {
-		if rerr := d.live.Insert(seg); rerr != nil {
-			d.live.poison(fmt.Errorf("segdb: delete %d: rollback after append failure (%v) failed: %w", seg.ID, err, rerr))
-		}
-		return found, st, 0, err
-	}
-	return found, st, lsn, nil
 }
 
 // Compact checkpoints: it rebuilds the index file from the live state
@@ -691,12 +656,12 @@ func (d *DurableIndex) Snapshot() (io.ReadCloser, SnapshotInfo, error) {
 }
 
 // ApplyReplicated applies shipped leader records on a follower: each
-// record upserts into the live index — the same delete-then-insert
-// recovery replay uses, so a redelivered prefix converges instead of
-// corrupting — and is appended to the local log; one Sync covers the
-// whole batch. On an apply or append error the live state may have
-// diverged from the local log mid-batch; the follower recovers by
-// reopening, which rebuilds from what the local log durably holds.
+// record upserts into the live index (apply, the rule recovery replay
+// uses, so a redelivered prefix converges instead of corrupting) and is
+// appended to the local log; one Sync covers the whole batch. On an
+// apply or append error the live state may have diverged from the local
+// log mid-batch; the follower recovers by reopening, which rebuilds from
+// what the local log durably holds.
 func (d *DurableIndex) ApplyReplicated(recs []wal.Record) error {
 	d.upMu.Lock()
 	var lsn int64
@@ -707,15 +672,8 @@ func (d *DurableIndex) ApplyReplicated(recs []wal.Record) error {
 				err = fmt.Errorf("segdb: apply replicated: leader stream carries a mark record")
 				break
 			}
-			if _, derr := d.live.Delete(r.Seg); derr != nil {
-				err = derr
+			if _, _, err = d.live.apply(r); err != nil {
 				break
-			}
-			if r.Op == wal.OpInsert {
-				if ierr := d.live.Insert(r.Seg); ierr != nil {
-					err = ierr
-					break
-				}
 			}
 			if lsn, err = d.log.Append(r); err != nil {
 				break

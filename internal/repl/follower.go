@@ -8,13 +8,13 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"segdb"
+	"segdb/internal/pager"
 	"segdb/internal/wal"
 )
 
@@ -201,12 +201,8 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 			return fmt.Errorf("repl: snapshot: clear local wal: %w", err)
 		}
 	}
-	if err := os.Rename(tmp, f.cfg.DB); err != nil {
-		os.Remove(tmp)
+	if err := pager.CommitFile(tmp, f.cfg.DB); err != nil {
 		return fmt.Errorf("repl: snapshot: install: %w", err)
-	}
-	if err := syncDir(filepath.Dir(f.cfg.DB)); err != nil {
-		return fmt.Errorf("repl: snapshot: %w", err)
 	}
 
 	d, err := f.openLocal(true)
@@ -228,25 +224,13 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 // mismatch against want (when known) is an error — a torn download must
 // not look installable.
 func downloadTo(path string, body io.Reader, want int64) error {
-	g, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	return pager.WriteFileSync(path, func(w io.Writer) error {
+		n, err := io.Copy(w, body)
+		if err == nil && want >= 0 && n != want {
+			err = fmt.Errorf("download: got %d bytes, want %d", n, want)
+		}
 		return err
-	}
-	n, err := io.Copy(g, body)
-	if err == nil && want >= 0 && n != want {
-		err = fmt.Errorf("download: got %d bytes, want %d", n, want)
-	}
-	if err == nil {
-		err = g.Sync()
-	}
-	if cerr := g.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(path)
-		return err
-	}
-	return nil
+	})
 }
 
 // install publishes d as the live index at the given leader position and
@@ -583,17 +567,4 @@ func (f *Follower) Close() error {
 		d.AppendMark(epoch, lsn)
 	}
 	return d.Close()
-}
-
-// syncDir fsyncs a directory, making a just-committed rename durable.
-func syncDir(dir string) error {
-	h, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("sync dir: %w", err)
-	}
-	defer h.Close()
-	if err := h.Sync(); err != nil {
-		return fmt.Errorf("sync dir %s: %w", dir, err)
-	}
-	return nil
 }

@@ -45,6 +45,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -52,6 +53,7 @@ import (
 	"sync"
 
 	"segdb"
+	"segdb/internal/pager"
 	"segdb/internal/trace"
 )
 
@@ -113,39 +115,22 @@ func shardWALPath(dir string, k int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%04d.wal", k))
 }
 
-// writeManifest commits the manifest atomically: tmp write, fsync,
-// rename, directory fsync — a crash leaves no manifest (aborted Create)
-// or the whole one, never a torn file.
+// writeManifest commits the manifest through the publish protocol — a
+// crash leaves no manifest (aborted Create) or the whole one, never a
+// torn file.
 func writeManifest(dir string, m manifest) error {
 	b, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("shard: manifest: %w", err)
 	}
-	path := manifestPath(dir)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	err = pager.PublishFile(manifestPath(dir), func(w io.Writer) error {
+		_, err := w.Write(append(b, '\n'))
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("shard: manifest: %w", err)
 	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("shard: manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("shard: manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("shard: manifest: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("shard: manifest: %w", err)
-	}
-	return syncDir(dir)
+	return nil
 }
 
 func readManifest(dir string) (manifest, error) {
@@ -164,18 +149,6 @@ func readManifest(dir string) (manifest, error) {
 		return m, fmt.Errorf("shard: manifest %s: %w", manifestPath(dir), err)
 	}
 	return m, nil
-}
-
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // validateCuts checks cuts against K: exactly K-1 of them, strictly
