@@ -31,12 +31,19 @@ benchmark:
 	bash bench/run.sh
 
 # Short coverage-guided runs of every fuzz target (go test -fuzz takes
-# one target per invocation).
+# one target per invocation): the structures and geometry, then the four
+# decoders of untrusted bytes — an index file's header, shipped WAL
+# frames, an inbound traceparent, a scraped /metricsz.
+FUZZ = $(GO) test -fuzztime 20s -run '^$$' -fuzz
 fuzz-smoke:
-	$(GO) test -fuzz FuzzBuildQuery -fuzztime 20s -run '^$$' .
-	$(GO) test -fuzz FuzzRelateSymmetry -fuzztime 20s -run '^$$' ./internal/geom
-	$(GO) test -fuzz FuzzPlanarize -fuzztime 20s -run '^$$' ./internal/geom
-	$(GO) test -fuzz FuzzShardRoute -fuzztime 20s -run '^$$' .
+	$(FUZZ) FuzzBuildQuery .
+	$(FUZZ) FuzzRelateSymmetry ./internal/geom
+	$(FUZZ) FuzzPlanarize ./internal/geom
+	$(FUZZ) FuzzShardRoute .
+	$(FUZZ) FuzzProbeFile .
+	$(FUZZ) FuzzDecodeFrames ./internal/wal
+	$(FUZZ) FuzzParseTraceparent ./internal/trace
+	$(FUZZ) FuzzParsePrometheus ./internal/server
 
 # The end-to-end gates are Go tests over one harness (cmd/segdbd/
 # e2e_test.go: build the three binaries once, real child processes on

@@ -93,16 +93,9 @@ func QueryBatchContext(ctx context.Context, ix querier, queries []Query, paralle
 	return out
 }
 
-// QueryBatch answers queries through the synchronized index with up to
-// parallelism concurrent workers — the method form of the package-level
-// QueryBatch, so every batch-serving index (a lone SyncIndex, a sharded
-// store) exposes the same surface.
-func (s *SyncIndex) QueryBatch(queries []Query, parallelism int) []BatchResult {
-	return QueryBatch(s, queries, parallelism)
-}
-
-// QueryBatchContext is QueryBatch honouring ctx, with the package-level
-// function's partial-results contract.
+// QueryBatchContext answers queries through the synchronized index — the
+// method form of the package-level function, so every batch-serving index
+// (a lone SyncIndex, a sharded store) exposes the same surface.
 func (s *SyncIndex) QueryBatchContext(ctx context.Context, queries []Query, parallelism int) []BatchResult {
 	return QueryBatchContext(ctx, s, queries, parallelism)
 }

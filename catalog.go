@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 
-	"segdb/internal/core"
 	"segdb/internal/pager"
 	"segdb/internal/sol1"
 	"segdb/internal/sol2"
@@ -59,27 +58,25 @@ var (
 // CreateSolution1 builds a Solution-1 index on a fresh store and writes
 // the catalog so it can be reopened with Open. The store must be empty.
 func CreateSolution1(st *Store, opt Options, segs []Segment) (Index, error) {
-	if err := reserveCatalog(st); err != nil {
-		return nil, err
-	}
-	ix, err := core.BuildSolution1(st, sol1.Config{B: opt.B, Plain: opt.PlainPST, Alpha: opt.Alpha}, segs)
-	if err != nil {
-		return nil, err
-	}
-	return ix, Save(st, ix)
+	return create(st, opt, segs, BuildSolution1)
 }
 
 // CreateSolution2 builds a Solution-2 index on a fresh store and writes
 // the catalog so it can be reopened with Open. The store must be empty.
 func CreateSolution2(st *Store, opt Options, segs []Segment) (Index, error) {
+	return create(st, opt, segs, BuildSolution2)
+}
+
+// create reserves the catalog page of a fresh store, builds behind it and
+// saves the catalog.
+func create(st *Store, opt Options, segs []Segment, build func(*Store, Options, []Segment) (Index, error)) (Index, error) {
 	if err := reserveCatalog(st); err != nil {
 		return nil, err
 	}
-	ix, err := core.BuildSolution2(st, sol2.Config{B: opt.B, D: opt.D}, segs)
+	ix, err := build(st, opt, segs)
 	if err != nil {
 		return nil, err
 	}
-	ix.Index.UseBridges = !opt.NoCascade
 	return ix, Save(st, ix)
 }
 
@@ -107,8 +104,8 @@ func Save(st *Store, ix Index) error {
 	}
 	c.PutU8(version)
 	switch v := ix.(type) {
-	case core.Solution1:
-		cfg := v.Index.Config()
+	case solution1:
+		cfg := v.Config()
 		c.PutU8(kindSolution1)
 		c.PutU16(0)
 		c.PutU32(uint32(cfg.B))
@@ -119,17 +116,17 @@ func Save(st *Store, ix Index) error {
 		c.PutU8(plain)
 		c.Skip(3)
 		c.PutF64(cfg.Alpha)
-		c.PutPage(v.Index.Root())
+		c.PutPage(v.Root())
 		c.PutU32(uint32(v.Len()))
-	case core.Solution2:
-		cfg := v.Index.Config()
+	case solution2:
+		cfg := v.Config()
 		c.PutU8(kindSolution2)
 		c.PutU16(0)
 		c.PutU32(uint32(cfg.B))
 		c.PutU8(0)
 		c.Skip(3)
 		c.PutF64(float64(cfg.D))
-		c.PutPage(v.Index.Root())
+		c.PutPage(v.Root())
 		c.PutU32(uint32(v.Len()))
 	default:
 		return fmt.Errorf("segdb: cannot save index of type %T (baselines have no catalog)", ix)
@@ -188,13 +185,13 @@ func Open(st *Store) (Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.Solution1{Index: ix}, nil
+		return solution1{ix}, nil
 	case kindSolution2:
 		ix, err := sol2.Attach(st, sol2.Config{B: b, D: int(param)}, root, length)
 		if err != nil {
 			return nil, err
 		}
-		return core.Solution2{Index: ix}, nil
+		return solution2{ix}, nil
 	default:
 		return nil, fmt.Errorf("segdb: catalog has unknown index kind %d", kind)
 	}
@@ -252,10 +249,16 @@ func probeFile(path string) (b, pageSize, version int, err error) {
 		// The whole catalog page carries a checksum trailer: verify it so
 		// a torn or bit-rotten catalog is a typed ErrCorrupt here instead
 		// of a decoding failure later.
-		phys := make([]byte, pager.PhysicalPageSize(pageSize))
-		if _, err := io.ReadFull(io.NewSectionReader(f, 0, int64(len(phys))), phys); err != nil {
+		// The size check comes first: pageSize is an unverified header
+		// field, and must not size an allocation the file cannot back.
+		physSize := pager.PhysicalPageSize(pageSize)
+		if fi.Size() < int64(physSize) {
 			return 0, 0, 0, fmt.Errorf("segdb: probe %s: file shorter than one %d-byte page: %w",
-				path, len(phys), ErrTruncated)
+				path, physSize, ErrTruncated)
+		}
+		phys := make([]byte, physSize)
+		if _, err := io.ReadFull(io.NewSectionReader(f, 0, int64(physSize)), phys); err != nil {
+			return 0, 0, 0, fmt.Errorf("segdb: probe %s: catalog page unreadable: %w", path, err)
 		}
 		if err := pager.VerifyPage(phys); err != nil {
 			return 0, 0, 0, fmt.Errorf("segdb: probe %s: catalog page: %w", path, err)

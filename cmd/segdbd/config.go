@@ -31,21 +31,16 @@ type config struct {
 	followerID     string
 	replicaCompact int64
 
-	autoCompactBytes       int64
-	autoCompactRecords     int64
-	autoCompactInterval    time.Duration
-	autoCompactMinInterval time.Duration
-	compactLagGuard        int64
+	autoCompactRecords  int64
+	autoCompactInterval time.Duration
+	compactLagGuard     int64
 
 	server server.Config
 }
 
-// parseFlags turns the command line into a config, rejecting flag
-// combinations no serving mode accepts before anything is opened. A
-// malformed flag has already been reported on stderr by the flag package
-// when its error comes back; -h returns flag.ErrHelp after the usage.
-func parseFlags(args []string) (config, error) {
-	var c config
+// newFlagSet declares every segdbd flag, bound into c. It is the one list
+// `segdbd -h` prints and the README flag tables are pinned to.
+func newFlagSet(c *config) *flag.FlagSet {
 	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
 	fs.StringVar(&c.db, "db", "index.db", "store file built by segdb build")
 	fs.IntVar(&c.b, "b", 0, "block capacity; 0 probes the file")
@@ -75,13 +70,20 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&c.followerID, "follower-id", "", "name reported to the leader's lag table; defaults to the hostname")
 	fs.DurationVar(&c.server.MaxReplicaLag, "max-replica-lag", 10*time.Second, "replica staleness budget: /healthz?deep=1 fails beyond it; <=0 disables")
 	fs.Int64Var(&c.replicaCompact, "replica-compact-records", 65536, "local WAL records that trigger a replica checkpoint; <0 disables")
-	fs.Int64Var(&c.autoCompactBytes, "auto-compact-bytes", 0, "WAL record bytes that trigger a background compaction (per shard in -shards mode); 0 disables the byte trigger")
 	fs.Int64Var(&c.autoCompactRecords, "auto-compact-records", 0, "WAL records that trigger a background compaction (per shard in -shards mode); 0 disables the record trigger")
 	fs.DurationVar(&c.autoCompactInterval, "auto-compact-interval", time.Second, "how often the compaction governor polls the WAL thresholds")
-	fs.DurationVar(&c.autoCompactMinInterval, "auto-compact-min-interval", 0, "minimum time between background compactions of one index; 0 uses -auto-compact-interval")
 	fs.Int64Var(&c.compactLagGuard, "compact-lag-guard", 1<<20, "defer auto-compaction while a follower is actively tailing within this many bytes of the tip (it would be forced to re-bootstrap); 0 disables, and a WAL at twice a trigger threshold overrides the guard")
 	fs.DurationVar(&c.server.SlowCompact, "slow-compact", time.Second, "compaction latency budget: longer compactions land in the slow log; <0 disables")
-	if err := fs.Parse(args); err != nil {
+	return fs
+}
+
+// parseFlags turns the command line into a config, rejecting flag
+// combinations no serving mode accepts before anything is opened. A
+// malformed flag has already been reported on stderr by the flag package
+// when its error comes back; -h returns flag.ErrHelp after the usage.
+func parseFlags(args []string) (config, error) {
+	var c config
+	if err := newFlagSet(&c).Parse(args); err != nil {
 		return c, err
 	}
 

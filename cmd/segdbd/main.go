@@ -198,17 +198,15 @@ func run(ctx context.Context, cfg config, ready func(net.Addr)) error {
 	if e.tail != nil {
 		background(e.tail)
 	}
-	if len(e.units) > 0 && (cfg.autoCompactBytes > 0 || cfg.autoCompactRecords > 0) {
-		log.Printf("segdbd: auto-compact on (bytes %d, records %d, poll %v, units %d)",
-			cfg.autoCompactBytes, cfg.autoCompactRecords, cfg.autoCompactInterval, len(e.units))
+	if len(e.units) > 0 && cfg.autoCompactRecords > 0 {
+		log.Printf("segdbd: auto-compact on (records %d, poll %v, units %d)",
+			cfg.autoCompactRecords, cfg.autoCompactInterval, len(e.units))
 		background(segdb.NewGovernor(e.units, segdb.GovernorConfig{
-			Bytes:       cfg.autoCompactBytes,
-			Records:     cfg.autoCompactRecords,
-			Interval:    cfg.autoCompactInterval,
-			MinInterval: cfg.autoCompactMinInterval,
-			Parallel:    e.parallel,
-			Defer:       e.deferCompact,
-			Logf:        log.Printf,
+			Records:  cfg.autoCompactRecords,
+			Interval: cfg.autoCompactInterval,
+			Parallel: e.parallel,
+			Defer:    e.deferCompact,
+			Logf:     log.Printf,
 			OnCompact: func(unit int, took time.Duration, err error) {
 				srv.ObserveCompaction(true, took, err)
 			},

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -266,6 +267,37 @@ func TestParseFlags(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReadmeFlagTables pins the README's flag tables to the FlagSet
+// `segdbd -h` prints: every row names a registered flag, and every flag of
+// a family the README tabulates (compaction governor, tracing) has a row —
+// so deleting, renaming or adding such a flag fails here until the table
+// follows.
+func TestReadmeFlagTables(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c config
+	fs := newFlagSet(&c)
+	rows := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `-([a-z-]+)` \\|").FindAllStringSubmatch(string(readme), -1) {
+		rows[m[1]] = true
+		if fs.Lookup(m[1]) == nil {
+			t.Errorf("README tabulates -%s, which segdbd does not have", m[1])
+		}
+	}
+	if len(rows) == 0 {
+		t.Fatal("no flag-table rows found in README.md")
+	}
+	fs.VisitAll(func(f *flag.Flag) {
+		for _, family := range []string{"auto-compact-", "compact-", "slow-compact", "trace-"} {
+			if strings.HasPrefix(f.Name, family) && !rows[f.Name] {
+				t.Errorf("segdbd has -%s but the README flag tables do not", f.Name)
+			}
+		}
+	})
 }
 
 // testSegments is a small NCT dataset: stacked horizontal layers over

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	segload -addr http://127.0.0.1:8080 -c 4 -duration 10s -span 50000
+//	segload -addr http://127.0.0.1:8080 -csv segs.csv -c 4 -duration 10s
 //	segload -csv segs.csv -c 16 -json
 //
 // -write-frac mixes durable writes into the stream (against segdbd -wal):
@@ -27,21 +27,24 @@
 // a per-stage latency table (p50/p99/max over the kept traces' spans) —
 // where inside the server the time went, stage by stage.
 //
-// -csv derives the query coordinate range from a workload CSV (the one
-// the index was built from); otherwise -span bounds x and y. The report
+// -csv is the workload CSV the index was built from: its bounding box is
+// the query range. Every request is a single-form counts-only query in a
+// fixed mix (10 % stabbing lines, 20 % rays, the rest segments a fiftieth
+// of the box high): segload drives the end-to-end tests and is not a
+// benchmark (bench/ is), so the mix is not configurable. The report
 // combines client-side latency (merged per-worker histograms) with the
 // server's /statsz snapshot and a /metricsz scrape: throughput,
 // p50/p90/p99, shed counts, the store's pool hit ratio, and the
 // server-side I/O cost per query — physical pages read, the paper's
 // measure — so a slow run can be attributed to I/O rather than guessed
 // at. -json emits the same report machine-readably; the end-to-end tests
-// read it. (Performance is measured by bench/, not by segload.)
+// read it.
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -58,6 +61,7 @@ import (
 	"segdb/internal/repl"
 	"segdb/internal/server"
 	"segdb/internal/trace"
+	"segdb/internal/workload"
 )
 
 type counters struct {
@@ -75,13 +79,7 @@ func main() {
 	c := flag.Int("c", 4, "concurrent closed-loop workers")
 	duration := flag.Duration("duration", 5*time.Second, "run length")
 	seed := flag.Int64("seed", 1, "random seed")
-	span := flag.Float64("span", 1000, "query coordinate span (x and y)")
-	csvPath := flag.String("csv", "", "derive the span from this workload CSV instead")
-	height := flag.Float64("height", 0, "query segment height; 0 selects span/50")
-	lineFrac := flag.Float64("line-frac", 0.1, "fraction of stabbing-line queries")
-	rayFrac := flag.Float64("ray-frac", 0.2, "fraction of ray queries")
-	batch := flag.Int("batch", 0, "queries per request (0 = single form)")
-	withHits := flag.Bool("hits", false, "transfer full hit payloads instead of counts")
+	csvPath := flag.String("csv", "", "workload CSV the index was built from; its bounding box is the query range (required)")
 	writeFrac := flag.Float64("write-frac", 0, "fraction of requests that are writes, split insert/delete (requires segdbd -wal)")
 	traced := flag.Bool("trace", false, "send a sampled traceparent with every request and report per-stage latency from /tracez (requires segdbd -trace-sample > 0)")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON")
@@ -94,18 +92,17 @@ func main() {
 
 	targets := append([]string{strings.TrimSuffix(*addr, "/")}, replicas...)
 
-	xLo, xHi, yLo, yHi := 0.0, *span, 0.0, *span
-	if *csvPath != "" {
-		var err error
-		xLo, xHi, yLo, yHi, err = csvBounds(*csvPath)
-		if err != nil {
-			fatal(err)
-		}
+	if *csvPath == "" {
+		fatal(errors.New("-csv is required: the query range is the workload's bounding box"))
 	}
-	h := *height
-	if h <= 0 {
-		h = (yHi - yLo) / 50
+	segs, err := workload.ReadCSV(*csvPath)
+	if err == nil && len(segs) == 0 {
+		err = fmt.Errorf("%s holds no segments", *csvPath)
 	}
+	if err != nil {
+		fatal(err)
+	}
+	box := workload.BBox(segs)
 
 	client := &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        *c * 2,
@@ -129,9 +126,7 @@ func main() {
 			defer wg.Done()
 			runWorker(client, rand.New(rand.NewSource(*seed+int64(w))), workerConfig{
 				deadline: deadline, targets: targets,
-				xLo: xLo, xHi: xHi, yLo: yLo, yHi: yHi, height: h,
-				lineFrac: *lineFrac, rayFrac: *rayFrac,
-				batch: *batch, omitHits: !*withHits,
+				box:       box,
 				writeFrac: *writeFrac, worker: w, trace: *traced,
 			}, &cnt, tcnt, hists[w])
 		}(w)
@@ -145,15 +140,17 @@ func main() {
 			lat.Merge(ht)
 		}
 	}
-	snap, snapErr := fetchStatsz(client, *addr)
+	var snap server.Snapshot
+	snapErr := getJSON(client, *addr+"/statsz", &snap)
 	prom, promErr := fetchMetricsz(client, *addr)
 
-	report := buildReport(&cnt, lat.Snapshot(), wall, *c, *batch, snap, snapErr, prom, promErr)
+	report := buildReport(&cnt, lat.Snapshot(), wall, *c, snap, snapErr, prom, promErr)
 	if len(targets) > 1 {
 		report.Replicas = replicaReports(client, targets, tcnt, hists)
 	}
 	if *traced {
-		if ring, err := fetchTracez(client, targets[0]); err != nil {
+		var ring trace.RingSnapshot
+		if err := getJSON(client, targets[0]+"/tracez", &ring); err != nil {
 			fmt.Fprintf(os.Stderr, "segload: tracez: %v\n", err)
 		} else {
 			report.TracesKept = ring.TracesKept
@@ -175,16 +172,20 @@ type workerConfig struct {
 	deadline time.Time
 	// targets are the read endpoints, round-robined per worker; targets[0]
 	// is the primary and takes every write.
-	targets            []string
-	xLo, xHi, yLo, yHi float64
-	height             float64
-	lineFrac, rayFrac  float64
-	batch              int
-	omitHits           bool
-	writeFrac          float64
-	worker             int
-	trace              bool
+	targets   []string
+	box       workload.Rect // the data's bounding box: the query range
+	writeFrac float64
+	worker    int
+	trace     bool
 }
+
+// The fixed query mix: a tenth stabbing lines, a fifth rays, the rest
+// segments a fiftieth of the data's y extent high.
+const (
+	lineFrac   = 0.1
+	rayFrac    = 0.2
+	heightFrac = 1.0 / 50
+)
 
 // targetCounters is one read target's share of the run, summed across
 // workers.
@@ -194,21 +195,22 @@ type targetCounters struct {
 }
 
 func randQuery(rng *rand.Rand, cfg workerConfig) server.QuerySpec {
-	q := server.QuerySpec{X: cfg.xLo + rng.Float64()*(cfg.xHi-cfg.xLo)}
+	q := server.QuerySpec{X: cfg.box.MinX + rng.Float64()*(cfg.box.MaxX-cfg.box.MinX)}
 	r := rng.Float64()
 	switch {
-	case r < cfg.lineFrac:
+	case r < lineFrac:
 		// open both sides: stabbing line
-	case r < cfg.lineFrac+cfg.rayFrac:
-		y := cfg.yLo + rng.Float64()*(cfg.yHi-cfg.yLo)
+	case r < lineFrac+rayFrac:
+		y := cfg.box.MinY + rng.Float64()*(cfg.box.MaxY-cfg.box.MinY)
 		if rng.Intn(2) == 0 {
 			q.YLo = &y
 		} else {
 			q.YHi = &y
 		}
 	default:
-		lo := cfg.yLo + rng.Float64()*(cfg.yHi-cfg.yLo-cfg.height)
-		hi := lo + cfg.height
+		height := (cfg.box.MaxY - cfg.box.MinY) * heightFrac
+		lo := cfg.box.MinY + rng.Float64()*(cfg.box.MaxY-cfg.box.MinY-height)
+		hi := lo + height
 		q.YLo, q.YHi = &lo, &hi
 	}
 	return q
@@ -229,12 +231,12 @@ func (u *updaterState) newSegment(cfg workerConfig) server.WireSegment {
 	u.next++
 	// Worker lanes above the data: yHi + height clears the box, each
 	// worker gets a wide band, each insert its own y within it.
-	y := cfg.yHi + (cfg.yHi - cfg.yLo) + 1 + float64(cfg.worker)*1e6 + float64(u.next)*1e-3
-	w := (cfg.xHi-cfg.xLo)/10 + 1
+	y := cfg.box.MaxY + (cfg.box.MaxY - cfg.box.MinY) + 1 + float64(cfg.worker)*1e6 + float64(u.next)*1e-3
+	w := (cfg.box.MaxX-cfg.box.MinX)/10 + 1
 	return server.WireSegment{
 		// IDs partition by worker, far above any generator-assigned ID.
 		ID: uint64(cfg.worker+1)<<32 | u.next,
-		AX: cfg.xLo, AY: y, BX: cfg.xLo + w, BY: y,
+		AX: cfg.box.MinX, AY: y, BX: cfg.box.MinX + w, BY: y,
 	}
 }
 
@@ -252,39 +254,17 @@ func runUpdate(client *http.Client, addr string, rng *rand.Rand, cfg workerConfi
 	} else {
 		seg = u.newSegment(cfg)
 	}
-	body, err := json.Marshal(server.UpdateRequest{WireSegment: seg})
-	if err != nil {
-		fatal(err)
-	}
-	cnt.requests.Add(1)
-	start := time.Now()
-	resp, err := post(client, rng, addr+endpoint, body, cfg.trace)
-	if err != nil {
-		cnt.errors.Add(1)
+	var ur server.UpdateResponse
+	if !call(client, rng, addr+endpoint, cfg.trace, server.UpdateRequest{WireSegment: seg}, &ur, cnt, hist) {
 		return
 	}
-	var ur server.UpdateResponse
-	decErr := json.NewDecoder(resp.Body).Decode(&ur)
-	resp.Body.Close()
-	elapsed := time.Since(start)
-	switch {
-	case resp.StatusCode == http.StatusOK && decErr == nil:
-		cnt.ok.Add(1)
-		hist.Observe(elapsed)
-		if del {
-			cnt.deletes.Add(1)
-			u.owned[ownedIdx] = u.owned[len(u.owned)-1]
-			u.owned = u.owned[:len(u.owned)-1]
-		} else {
-			cnt.inserts.Add(1)
-			u.owned = append(u.owned, seg)
-		}
-	case resp.StatusCode == http.StatusTooManyRequests,
-		resp.StatusCode == http.StatusServiceUnavailable:
-		cnt.shed.Add(1)
-		time.Sleep(retryAfter(resp, 50*time.Millisecond))
-	default:
-		cnt.errors.Add(1)
+	if del {
+		cnt.deletes.Add(1)
+		u.owned[ownedIdx] = u.owned[len(u.owned)-1]
+		u.owned = u.owned[:len(u.owned)-1]
+	} else {
+		cnt.inserts.Add(1)
+		u.owned = append(u.owned, seg)
 	}
 }
 
@@ -302,70 +282,60 @@ func runWorker(client *http.Client, rng *rand.Rand, cfg workerConfig, cnt *count
 		}
 		t := next % len(cfg.targets)
 		next++
-		url := cfg.targets[t] + "/v1/query"
-		hist := hists[t]
-		var req server.QueryRequest
-		req.OmitHits = cfg.omitHits
-		if cfg.batch > 0 {
-			req.Queries = make([]server.QuerySpec, cfg.batch)
-			for i := range req.Queries {
-				req.Queries[i] = randQuery(rng, cfg)
-			}
-		} else {
-			req.QuerySpec = randQuery(rng, cfg)
-		}
-		body, err := json.Marshal(&req)
-		if err != nil {
-			fatal(err)
-		}
-		cnt.requests.Add(1)
 		tcnt[t].requests.Add(1)
-		start := time.Now()
-		resp, err := post(client, rng, url, body, cfg.trace)
-		if err != nil {
-			cnt.errors.Add(1)
-			continue
-		}
 		var qr server.QueryResponse
-		decErr := json.NewDecoder(resp.Body).Decode(&qr)
-		resp.Body.Close()
-		elapsed := time.Since(start)
-		switch {
-		case resp.StatusCode == http.StatusOK && decErr == nil:
-			cnt.ok.Add(1)
+		req := server.QueryRequest{QuerySpec: randQuery(rng, cfg), OmitHits: true}
+		if call(client, rng, cfg.targets[t]+"/v1/query", cfg.trace, &req, &qr, cnt, hists[t]) {
 			tcnt[t].ok.Add(1)
-			hist.Observe(elapsed)
-			n := int64(qr.Count)
-			for _, r := range qr.Results {
-				n += int64(r.Count)
-			}
-			cnt.answers.Add(n)
-		case resp.StatusCode == http.StatusTooManyRequests,
-			resp.StatusCode == http.StatusServiceUnavailable:
-			cnt.shed.Add(1)
-			time.Sleep(retryAfter(resp, 50*time.Millisecond))
-		default:
-			cnt.errors.Add(1)
+			cnt.answers.Add(int64(qr.Count))
 		}
 	}
 }
 
-// post issues one JSON request, stamping a freshly minted, sampled W3C
-// traceparent when traced — the sampled flag is the propagated-keep
-// signal, so a tracing-enabled server retains a trace for every segload
-// request regardless of its own head-sampling rate. The low bit forced on
-// keeps the IDs nonzero, which the parser (correctly) rejects.
-func post(client *http.Client, rng *rand.Rand, url string, body []byte, traced bool) (*http.Response, error) {
+// call issues one JSON request and accounts for it in cnt: true — with
+// the response in out and the latency in hist — when the server answered
+// 200; a shed (429/503) honours Retry-After before returning. When traced
+// it stamps a fresh sampled W3C traceparent — the sampled flag is the
+// propagated-keep signal, so a tracing server retains every segload
+// request whatever its own sampling rate. The low bit forced on keeps the
+// IDs nonzero, which the parser (correctly) rejects.
+func call(client *http.Client, rng *rand.Rand, url string, traced bool, in, out any, cnt *counters, hist *server.Histogram) bool {
+	body, err := json.Marshal(in)
+	if err != nil {
+		fatal(err)
+	}
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if traced {
 		req.Header.Set(trace.Header, fmt.Sprintf("00-%016x%016x-%016x-01",
 			rng.Uint64(), rng.Uint64()|1, rng.Uint64()|1))
 	}
-	return client.Do(req)
+	cnt.requests.Add(1)
+	start := time.Now()
+	resp, err := client.Do(req)
+	if err != nil {
+		cnt.errors.Add(1)
+		return false
+	}
+	decErr := json.NewDecoder(resp.Body).Decode(out)
+	resp.Body.Close()
+	elapsed := time.Since(start)
+	switch {
+	case resp.StatusCode == http.StatusOK && decErr == nil:
+		cnt.ok.Add(1)
+		hist.Observe(elapsed)
+		return true
+	case resp.StatusCode == http.StatusTooManyRequests,
+		resp.StatusCode == http.StatusServiceUnavailable:
+		cnt.shed.Add(1)
+		time.Sleep(retryAfter(resp, 50*time.Millisecond))
+	default:
+		cnt.errors.Add(1)
+	}
+	return false
 }
 
 // retryAfter parses the Retry-After hint, falling back (and capping) so a
@@ -422,17 +392,17 @@ func fetchMetricsz(client *http.Client, addr string) (promMetrics, error) {
 	return out, nil
 }
 
-func fetchTracez(client *http.Client, addr string) (trace.RingSnapshot, error) {
-	var ring trace.RingSnapshot
-	resp, err := client.Get(addr + "/tracez")
+// getJSON decodes the JSON document at url into v.
+func getJSON(client *http.Client, url string, v any) error {
+	resp, err := client.Get(url)
 	if err != nil {
-		return ring, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return ring, fmt.Errorf("tracez: HTTP %d", resp.StatusCode)
+		return fmt.Errorf("%s: HTTP %d", url, resp.StatusCode)
 	}
-	return ring, json.NewDecoder(resp.Body).Decode(&ring)
+	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // StageLatency is one stage's latency distribution over the spans of the
@@ -479,19 +449,6 @@ func quantile(sorted []float64, q float64) float64 {
 	return sorted[i]
 }
 
-func fetchStatsz(client *http.Client, addr string) (server.Snapshot, error) {
-	var snap server.Snapshot
-	resp, err := client.Get(addr + "/statsz")
-	if err != nil {
-		return snap, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return snap, fmt.Errorf("statsz: HTTP %d", resp.StatusCode)
-	}
-	return snap, json.NewDecoder(resp.Body).Decode(&snap)
-}
-
 // ServerIO is the server-side I/O cost of one endpoint's queries, as
 // scraped from /metricsz (cross-checkable against /statsz, which renders
 // the same registry): physical pages read per request — the paper's
@@ -523,7 +480,6 @@ type ReplicaReport struct {
 // Report is the run summary; -json emits it verbatim.
 type Report struct {
 	Clients     int                      `json:"clients"`
-	Batch       int                      `json:"batch,omitempty"`
 	WallSeconds float64                  `json:"wall_seconds"`
 	Requests    int64                    `json:"requests"`
 	OK          int64                    `json:"ok"`
@@ -559,7 +515,8 @@ func replicaReports(client *http.Client, targets []string, tcnt []targetCounters
 			OK:       tcnt[t].ok.Load(),
 			Latency:  merged.Snapshot(),
 		}
-		if snap, err := fetchStatsz(client, addr); err != nil {
+		var snap server.Snapshot
+		if err := getJSON(client, addr+"/statsz", &snap); err != nil {
 			rr.StatsErr = err.Error()
 		} else {
 			rr.Repl = snap.Repl
@@ -569,10 +526,9 @@ func replicaReports(client *http.Client, targets []string, tcnt []targetCounters
 	return out
 }
 
-func buildReport(cnt *counters, lat server.HistogramSnapshot, wall time.Duration, clients, batch int, snap server.Snapshot, snapErr error, prom promMetrics, promErr error) Report {
+func buildReport(cnt *counters, lat server.HistogramSnapshot, wall time.Duration, clients int, snap server.Snapshot, snapErr error, prom promMetrics, promErr error) Report {
 	r := Report{
 		Clients:     clients,
-		Batch:       batch,
 		WallSeconds: wall.Seconds(),
 		Requests:    cnt.requests.Load(),
 		OK:          cnt.ok.Load(),
@@ -652,10 +608,6 @@ func printReport(r Report, snapErr, promErr error) {
 			fmt.Printf("  server query latency ms: p50 %.3f  p99 %.3f (%d served)\n",
 				q.Latency.P50MS, q.Latency.P99MS, q.Latency.Count)
 		}
-		if b, ok := s.Endpoints["batch"]; ok && b.Latency.Count > 0 {
-			fmt.Printf("  server batch latency ms: p50 %.3f  p99 %.3f (%d served)\n",
-				b.Latency.P50MS, b.Latency.P99MS, b.Latency.Count)
-		}
 		// A sharded server (-shards) reports one row per slab: ownership
 		// balance, spanner registrations, per-shard WAL and pool state.
 		for _, sh := range s.Shards {
@@ -715,50 +667,6 @@ func printReport(r Report, snapErr, promErr error) {
 		}
 		fmt.Println()
 	}
-}
-
-// csvBounds scans a workload CSV (id,x1,y1,x2,y2) for its bounding box.
-func csvBounds(path string) (xLo, xHi, yLo, yHi float64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	defer f.Close()
-	first := true
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		parts := strings.Split(strings.TrimSpace(sc.Text()), ",")
-		if len(parts) != 5 {
-			continue
-		}
-		var c [4]float64
-		bad := false
-		for i := 0; i < 4; i++ {
-			if c[i], err = strconv.ParseFloat(parts[i+1], 64); err != nil {
-				bad = true
-				break
-			}
-		}
-		if bad {
-			continue
-		}
-		for _, p := range [][2]float64{{c[0], c[1]}, {c[2], c[3]}} {
-			if first {
-				xLo, xHi, yLo, yHi = p[0], p[0], p[1], p[1]
-				first = false
-				continue
-			}
-			xLo, xHi = min(xLo, p[0]), max(xHi, p[0])
-			yLo, yHi = min(yLo, p[1]), max(yHi, p[1])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if first {
-		return 0, 0, 0, 0, fmt.Errorf("segload: %s holds no segments", path)
-	}
-	return xLo, xHi, yLo, yHi, nil
 }
 
 func fatal(err error) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 
-	"segdb/internal/core"
 	"segdb/internal/pager"
 )
 
@@ -29,20 +28,6 @@ func shadowPath(path string) string { return path + ".tmp" }
 // deviceWrapper lets tests interpose a fault-injecting device between
 // the checksum layer and the shadow file; nil means none.
 type deviceWrapper func(pager.Device) pager.Device
-
-// CreateFileStore creates a fresh checksummed (catalog v3) file-backed
-// store sized for blocks of B segments. Unlike OpenFileStore it writes
-// pages with CRC32C trailers; use it for new files and OpenIndexFile to
-// reopen them. The caller owns durability: Sync before Close, or use
-// BuildIndexFile for the full atomic-commit protocol.
-func CreateFileStore(path string, B, cachePages int) (*Store, error) {
-	logical := PageSizeFor(B)
-	dev, err := pager.OpenFileDevice(path, pager.PhysicalPageSize(logical))
-	if err != nil {
-		return nil, err
-	}
-	return pager.Open(pager.NewChecksumDevice(dev, logical), logical, cachePages)
-}
 
 // BuildIndexFile builds a persisted index over segs atomically. The
 // index is constructed in <path>.tmp with page checksums (catalog v3),
@@ -133,16 +118,8 @@ func compactIndexFile(path string, wrap deviceWrapper) error {
 		st.Close()
 		return fmt.Errorf("segdb: compact %s: %w", path, err)
 	}
-	var opt Options
-	var sol int
-	switch v := ix.(type) {
-	case core.Solution1:
-		cfg := v.Index.Config()
-		sol, opt = 1, Options{B: cfg.B, PlainPST: cfg.Plain, Alpha: cfg.Alpha}
-	case core.Solution2:
-		cfg := v.Index.Config()
-		sol, opt = 2, Options{B: cfg.B, D: cfg.D, NoCascade: !v.Index.UseBridges}
-	default:
+	sol, opt := buildOptions(ix)
+	if sol == 0 {
 		st.Close()
 		return fmt.Errorf("segdb: compact %s: index type %T has no rebuild path", path, ix)
 	}

@@ -1,4 +1,4 @@
-package core_test
+package segdb_test
 
 import (
 	"math/rand"
@@ -6,18 +6,13 @@ import (
 	"testing/quick"
 
 	"segdb"
-	"segdb/internal/core"
 	"segdb/internal/geom"
 	"segdb/internal/pager"
-	"segdb/internal/sol1"
-	"segdb/internal/sol2"
 	"segdb/internal/workload"
 )
 
-// This file is package core_test (not core) so it can differentially
-// drive the public segdb surface — QueryBatch, Synchronized, Compact —
-// against the same oracle as the raw structures; the root package
-// imports core, so an in-package test could not import it back.
+// This file differentially drives the public surface — QueryBatch,
+// Synchronized, Compact — against the same oracle as the raw structures.
 
 // oracleIDs returns the reference answer as an ID set.
 func oracleIDs(q geom.VQuery, segs []geom.Segment) map[uint64]bool {
@@ -82,33 +77,32 @@ func TestQuickDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		segs := differentialWorkload(seed)
 
-		indexes := map[string]core.Index{}
-		ix1, err := core.BuildSolution1(pager.MustOpenMem(pageSize, 32), sol1.Config{B: 16}, segs)
+		indexes := map[string]segdb.Index{}
+		ix1, err := segdb.BuildSolution1(pager.MustOpenMem(pageSize, 32), segdb.Options{B: 16}, segs)
 		if err != nil {
 			t.Log(err)
 			return false
 		}
 		indexes["sol1"] = ix1
-		ix1p, err := core.BuildSolution1(pager.MustOpenMem(pageSize, 32), sol1.Config{B: 16, Plain: true}, segs)
+		ix1p, err := segdb.BuildSolution1(pager.MustOpenMem(pageSize, 32), segdb.Options{B: 16, PlainPST: true}, segs)
 		if err != nil {
 			t.Log(err)
 			return false
 		}
 		indexes["sol1-plain"] = ix1p
-		ix2, err := core.BuildSolution2(pager.MustOpenMem(pageSize, 32), sol2.Config{B: 16}, segs)
+		ix2, err := segdb.BuildSolution2(pager.MustOpenMem(pageSize, 32), segdb.Options{B: 16}, segs)
 		if err != nil {
 			t.Log(err)
 			return false
 		}
 		indexes["sol2"] = ix2
-		ix2nb, err := core.BuildSolution2(pager.MustOpenMem(pageSize, 32), sol2.Config{B: 16}, segs)
+		ix2nb, err := segdb.BuildSolution2(pager.MustOpenMem(pageSize, 32), segdb.Options{B: 16, NoCascade: true}, segs)
 		if err != nil {
 			t.Log(err)
 			return false
 		}
-		ix2nb.Index.UseBridges = false
 		indexes["sol2-nocascade"] = ix2nb
-		sf, err := core.NewStabFilterBaseline(pager.MustOpenMem(pageSize, 32), 16, segs)
+		sf, err := segdb.NewStabFilterBaseline(pager.MustOpenMem(pageSize, 32), 16, segs)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -134,7 +128,7 @@ func TestQuickDifferential(t *testing.T) {
 		// QueryBatch pulls queries from a shared cursor with concurrent
 		// workers, so this also differentially exercises the concurrent
 		// read path of the sharded pool.
-		for which, ix := range []core.Index{ix1, ix2} {
+		for which, ix := range []segdb.Index{ix1, ix2} {
 			sync := segdb.Synchronized(ix)
 			for i, br := range segdb.QueryBatch(sync, queries, 4) {
 				if br.Err != nil {
@@ -167,7 +161,7 @@ func TestQuickDifferentialCompact(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed ^ 0x5e61))
 		segs := differentialWorkload(seed)
-		ix, err := core.BuildSolution1(pager.MustOpenMem(pageSize, 32), sol1.Config{B: 16}, segs)
+		ix, err := segdb.BuildSolution1(pager.MustOpenMem(pageSize, 32), segdb.Options{B: 16}, segs)
 		if err != nil {
 			t.Log(err)
 			return false

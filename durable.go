@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"segdb/internal/core"
 	"segdb/internal/pager"
 	"segdb/internal/trace"
 	"segdb/internal/wal"
@@ -193,13 +192,11 @@ func openDurableIndex(path string, dopt DurableOptions, walFile wal.File, wrap d
 	if err != nil {
 		return nil, err
 	}
-	s1, ok := ix.(core.Solution1)
-	if !ok {
+	sol, opt := buildOptions(ix)
+	if sol != 1 {
 		st.Close()
 		return nil, fmt.Errorf("segdb: durable index %s: got index type %T, need Solution 1 (the fully dynamic structure)", path, ix)
 	}
-	cfg := s1.Index.Config()
-	opt := Options{B: cfg.B, PlainPST: cfg.Plain, Alpha: cfg.Alpha}
 	segs, err := ix.Collect()
 	if err != nil {
 		st.Close()

@@ -1,4 +1,4 @@
-package core
+package segdb_test
 
 import (
 	"errors"
@@ -14,7 +14,7 @@ import (
 )
 
 // The dying-disk model lives in internal/faultdev now: one deterministic
-// fault device serves the core, catalog, sync and server suites, plus
+// fault device serves the structure, catalog, sync and server suites, plus
 // the crash-matrix tests of the shadow-file commit protocol.
 
 func faultyStore(t *testing.T, pageSize int, budget int64) (*pager.Store, *faultdev.Device) {

@@ -4,10 +4,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"segdb"
 	"segdb/internal/shard"
+	"segdb/internal/workload"
 )
 
 // FuzzBuildQuery fuzzes the whole public pipeline: an arbitrary segment
@@ -204,5 +207,75 @@ func FuzzShardRoute(f *testing.F) {
 		for _, x := range xs {
 			check(segdb.VLine(x))
 		}
+	})
+}
+
+// FuzzProbeFile hands ProbeFile arbitrary file contents — the first thing
+// every tool and the daemon do with a path from the command line. It must
+// never panic or size an allocation from an unchecked header field, and
+// every refusal must be one of the four typed sentinels callers match on.
+func FuzzProbeFile(f *testing.F) {
+	dir := f.TempDir()
+	real := func(name string, build func(path string) error) []byte {
+		path := filepath.Join(dir, name)
+		if err := build(path); err != nil {
+			f.Fatal(err)
+		}
+		img, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return img
+	}
+	segs := workload.Grid(rand.New(rand.NewSource(9)), 4, 4, 0.9, 0.2)
+	v3 := real("v3.db", func(path string) error {
+		return segdb.BuildIndexFile(path, segdb.Options{B: 8}, 2, segs)
+	})
+	v2 := real("v2.db", func(path string) error {
+		st, err := segdb.OpenFileStore(path, 8, 16)
+		if err != nil {
+			return err
+		}
+		if _, err := segdb.CreateSolution1(st, segdb.Options{B: 8}, segs); err != nil {
+			return err
+		}
+		return st.Close()
+	})
+	mutate := func(img []byte, off int, b byte) []byte {
+		out := append([]byte(nil), img...)
+		out[off] = b
+		return out
+	}
+	for _, img := range [][]byte{
+		v3, v2,
+		nil,                              // zero-length
+		[]byte("SGDB"),                   // sub-header
+		make([]byte, 4096),               // wrong magic
+		mutate(v3, 4, 99),                // version from the future
+		mutate(v3, 20, 0xFF),             // catalog payload damage under a v3 checksum
+		mutate(v3, 39, 0xFF),             // page-size field claims ~4 GiB
+		mutate(v2, 4, 3),                 // plain file whose version byte says checksummed
+		v3[:len(v3)-1], v2[:len(v2)/2+3], // ragged tails
+	} {
+		f.Add(img)
+	}
+	f.Fuzz(func(t *testing.T, img []byte) {
+		path := filepath.Join(t.TempDir(), "probe.db")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		b, pageSize, err := segdb.ProbeFile(path)
+		if err == nil {
+			if b <= 0 || pageSize <= 0 {
+				t.Fatalf("accepted a file with geometry B=%d, page size %d", b, pageSize)
+			}
+			return
+		}
+		for _, sentinel := range []error{segdb.ErrTruncated, segdb.ErrNotIndex, segdb.ErrVersion, segdb.ErrCorrupt} {
+			if errors.Is(err, sentinel) {
+				return
+			}
+		}
+		t.Fatalf("untyped probe error: %v", err)
 	})
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"sync"
 	"time"
-
-	"segdb/internal/wal"
 )
 
 // This file is the background compaction governor: the autonomous
@@ -25,17 +23,12 @@ type CompactUnit interface {
 	WALStats() (records, size, durable int64)
 }
 
-// GovernorConfig tunes the compaction governor. Thresholds compare
-// against the WAL's payload bytes (file size minus the header) and
-// record count; a zero threshold is disabled, and with both disabled
-// the governor never fires.
+// GovernorConfig tunes the compaction governor. The one trigger unit is
+// the WAL's record count — frames are a fixed wal.RecordSize, so a byte
+// threshold would be the same number in another unit.
 type GovernorConfig struct {
-	// Bytes triggers compaction of a unit once its WAL holds at least
-	// this many record bytes past the header; 0 disables the byte
-	// trigger.
-	Bytes int64
-	// Records triggers compaction once the WAL holds at least this many
-	// records; 0 disables the record trigger.
+	// Records triggers compaction of a unit once its WAL holds at least
+	// this many records; 0 disables the governor (it never fires).
 	Records int64
 	// Interval is Run's poll cadence; 0 selects one second.
 	Interval time.Duration
@@ -114,18 +107,11 @@ func NewGovernor(units []CompactUnit, cfg GovernorConfig) *Governor {
 }
 
 // over reports whether the unit's WAL is at or past the configured
-// thresholds scaled by factor: factor 1 is the trigger test, the
+// threshold scaled by factor: factor 1 is the trigger test, the
 // Hysteresis fraction is the clear test, and 2 is the deferral
 // override.
-func (g *Governor) over(records, size int64, factor float64) bool {
-	payload := size - wal.HeaderSize
-	if g.cfg.Bytes > 0 && float64(payload) >= factor*float64(g.cfg.Bytes) {
-		return true
-	}
-	if g.cfg.Records > 0 && float64(records) >= factor*float64(g.cfg.Records) {
-		return true
-	}
-	return false
+func (g *Governor) over(records int64, factor float64) bool {
+	return g.cfg.Records > 0 && float64(records) >= factor*float64(g.cfg.Records)
 }
 
 // Poll runs one governor pass: it re-evaluates every unit's trigger
@@ -135,11 +121,7 @@ func (g *Governor) over(records, size int64, factor float64) bool {
 // itself and with Run (a unit already running is skipped), though
 // normal operation drives it from one loop.
 func (g *Governor) Poll() int {
-	type firing struct {
-		unit int
-		u    CompactUnit
-	}
-	var due []firing
+	var due []int // indexes into g.units
 
 	now := g.now()
 	g.mu.Lock()
@@ -148,16 +130,16 @@ func (g *Governor) Poll() int {
 		if st.running {
 			continue
 		}
-		records, size, _ := u.WALStats()
-		if g.over(records, size, 1) {
+		records, _, _ := u.WALStats()
+		if g.over(records, 1) {
 			st.wanted = true
-		} else if !g.over(records, size, g.cfg.Hysteresis) {
+		} else if !g.over(records, g.cfg.Hysteresis) {
 			st.wanted = false
 		}
 		if !st.wanted || now.Sub(st.lastEnd) < g.cfg.MinInterval {
 			continue
 		}
-		if g.cfg.Defer != nil && !g.over(records, size, 2) {
+		if g.cfg.Defer != nil && !g.over(records, 2) {
 			if reason, ok := g.cfg.Defer(); ok {
 				if g.cfg.OnDefer != nil {
 					g.cfg.OnDefer(i, reason)
@@ -169,7 +151,7 @@ func (g *Governor) Poll() int {
 			}
 		}
 		st.running = true
-		due = append(due, firing{unit: i, u: u})
+		due = append(due, i)
 	}
 	g.mu.Unlock()
 
@@ -178,33 +160,33 @@ func (g *Governor) Poll() int {
 	}
 	sem := make(chan struct{}, g.cfg.Parallel)
 	var wg sync.WaitGroup
-	for _, f := range due {
+	for _, unit := range due {
 		wg.Add(1)
-		go func(f firing) {
+		go func(unit int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			start := g.now()
-			err := f.u.Compact()
+			err := g.units[unit].Compact()
 			took := g.now().Sub(start)
 			g.mu.Lock()
-			st := &g.state[f.unit]
+			st := &g.state[unit]
 			st.running = false
 			st.lastEnd = g.now()
-			// The latch survives a failure (the bytes are still there);
+			// The latch survives a failure (the records are still there);
 			// on success the next poll's hysteresis test clears it.
 			g.mu.Unlock()
 			if g.cfg.OnCompact != nil {
-				g.cfg.OnCompact(f.unit, took, err)
+				g.cfg.OnCompact(unit, took, err)
 			}
 			if g.cfg.Logf != nil {
 				if err != nil {
-					g.cfg.Logf("auto-compact: unit %d failed after %v: %v", f.unit, took, err)
+					g.cfg.Logf("auto-compact: unit %d failed after %v: %v", unit, took, err)
 				} else {
-					g.cfg.Logf("auto-compact: unit %d compacted in %v", f.unit, took)
+					g.cfg.Logf("auto-compact: unit %d compacted in %v", unit, took)
 				}
 			}
-		}(f)
+		}(unit)
 	}
 	wg.Wait()
 	return len(due)

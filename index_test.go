@@ -1,22 +1,13 @@
-package core
+package segdb_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"segdb"
 	"segdb/internal/geom"
 	"segdb/internal/pager"
-	"segdb/internal/sol1"
-	"segdb/internal/sol2"
 	"segdb/internal/workload"
-)
-
-// Compile-time interface compliance.
-var (
-	_ Index = Solution1{}
-	_ Index = Solution2{}
-	_ Index = ScanBaseline{}
-	_ Index = (*StabFilterBaseline)(nil)
 )
 
 func TestAllIndexesAgree(t *testing.T) {
@@ -24,21 +15,21 @@ func TestAllIndexesAgree(t *testing.T) {
 	segs := workload.Grid(rng, 14, 14, 0.85, 0.2)
 	pageSize := 64 + 48*16
 
-	build := map[string]func() (Index, error){
-		"sol1": func() (Index, error) {
-			return BuildSolution1(pager.MustOpenMem(pageSize, 32), sol1.Config{B: 16}, segs)
+	build := map[string]func() (segdb.Index, error){
+		"sol1": func() (segdb.Index, error) {
+			return segdb.BuildSolution1(pager.MustOpenMem(pageSize, 32), segdb.Options{B: 16}, segs)
 		},
-		"sol1-plain": func() (Index, error) {
-			return BuildSolution1(pager.MustOpenMem(pageSize, 32), sol1.Config{B: 16, Plain: true}, segs)
+		"sol1-plain": func() (segdb.Index, error) {
+			return segdb.BuildSolution1(pager.MustOpenMem(pageSize, 32), segdb.Options{B: 16, PlainPST: true}, segs)
 		},
-		"sol2": func() (Index, error) {
-			return BuildSolution2(pager.MustOpenMem(pageSize, 32), sol2.Config{B: 16}, segs)
+		"sol2": func() (segdb.Index, error) {
+			return segdb.BuildSolution2(pager.MustOpenMem(pageSize, 32), segdb.Options{B: 16}, segs)
 		},
-		"scan": func() (Index, error) {
-			return NewScanBaseline(pager.MustOpenMem(pageSize, 32), segs)
+		"scan": func() (segdb.Index, error) {
+			return segdb.NewScanBaseline(pager.MustOpenMem(pageSize, 32), segs)
 		},
-		"stabfilter": func() (Index, error) {
-			return NewStabFilterBaseline(pager.MustOpenMem(pageSize, 32), 16, segs)
+		"stabfilter": func() (segdb.Index, error) {
+			return segdb.NewStabFilterBaseline(pager.MustOpenMem(pageSize, 32), 16, segs)
 		},
 	}
 	box := workload.BBox(segs)
@@ -71,7 +62,7 @@ func TestAllIndexesAgree(t *testing.T) {
 func TestSolution2StatsExposeBridges(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	segs := workload.WideLevels(rng, 4000, 400)
-	ix, err := BuildSolution2(pager.MustOpenMem(64+48*32, 64), sol2.Config{B: 32}, segs)
+	ix, err := segdb.BuildSolution2(pager.MustOpenMem(64+48*32, 64), segdb.Options{B: 32}, segs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func Build(st *pager.Store, baseX float64, side geom.Side, segs []geom.Segment) 
 	}
 	ordered := make([]geom.Segment, len(segs))
 	copy(ordered, segs)
-	sort.Slice(ordered, func(i, j int) bool { return t.less(ordered[i], ordered[j]) })
+	sort.Slice(ordered, func(i, j int) bool { return geom.BaseLess(ordered[i], ordered[j], t.baseX, t.side) })
 	root, err := t.buildRec(ordered)
 	if err != nil {
 		return nil, err
@@ -137,46 +137,19 @@ func Attach(st *pager.Store, baseX float64, side geom.Side,
 	}
 }
 
-// BaseX returns the base line's x coordinate.
-func (t *Tree) BaseX() float64 { return t.baseX }
-
-// Side returns the half-plane of the segments.
-func (t *Tree) Side() geom.Side { return t.side }
-
-// reach, baseOf and slant treat the stored segment's side-part as the
-// line-based segment of Section 2, with the base-line crossing as its base
-// endpoint; see the corresponding comments in package pst.
-func (t *Tree) reach(s geom.Segment) float64  { return geom.SideReach(s, t.baseX, t.side) }
-func (t *Tree) baseOf(s geom.Segment) float64 { return s.YAt(t.baseX) }
-
-func (t *Tree) slant(s geom.Segment) float64 {
-	r := t.reach(s)
-	if r == 0 {
-		return 0
-	}
-	return (geom.FarYAt(s, t.side) - t.baseOf(s)) / r
-}
+// reach treats the stored segment's side-part as the line-based segment
+// of Section 2, with the base-line crossing as its base endpoint; see
+// package pst and geom.BaseLess, the order both trees share.
+func (t *Tree) reach(s geom.Segment) float64 { return geom.SideReach(s, t.baseX, t.side) }
 
 // partYExtent returns the y-extent of the stored segment's side-part —
 // the interval between its base crossing and its far endpoint.
 func (t *Tree) partYExtent(s geom.Segment) (lo, hi float64) {
-	a, b := t.baseOf(s), geom.FarYAt(s, t.side)
+	a, b := s.YAt(t.baseX), geom.FarYAt(s, t.side)
 	if a > b {
 		a, b = b, a
 	}
 	return a, b
-}
-
-func (t *Tree) less(a, b geom.Segment) bool {
-	ab, bb := t.baseOf(a), t.baseOf(b)
-	if ab != bb {
-		return ab < bb
-	}
-	as, bs := t.slant(a), t.slant(b)
-	if as != bs {
-		return as < bs
-	}
-	return a.ID < b.ID
 }
 
 // --- page encode/decode ---------------------------------------------------
@@ -306,8 +279,8 @@ func (t *Tree) buildRec(ordered []geom.Segment) (pager.PageID, error) {
 func (t *Tree) buildChild(run []geom.Segment) (childInfo, error) {
 	lo0, hi0 := t.partYExtent(run[0])
 	ci := childInfo{
-		minBase: t.baseOf(run[0]),
-		maxBase: t.baseOf(run[len(run)-1]),
+		minBase: run[0].YAt(t.baseX),
+		maxBase: run[len(run)-1].YAt(t.baseX),
 		minY:    lo0,
 		maxY:    hi0,
 	}

@@ -34,7 +34,7 @@ func checkInvariants(t *testing.T, tr *Tree) {
 		count += len(cache)
 		cacheMax, cacheMin := 0.0, 0.0
 		for i, s := range cache {
-			if i > 0 && tr.less(s, cache[i-1]) {
+			if i > 0 && geom.BaseLess(s, cache[i-1], tr.baseX, tr.side) {
 				t.Fatalf("cache out of base order at %d", i)
 			}
 			r := tr.reach(s)
@@ -48,7 +48,7 @@ func checkInvariants(t *testing.T, tr *Tree) {
 					cacheMin = r
 				}
 			}
-			if b := tr.baseOf(s); b < ch.minBase-1e-12 || b > ch.maxBase+1e-12 {
+			if b := s.YAt(tr.baseX); b < ch.minBase-1e-12 || b > ch.maxBase+1e-12 {
 				t.Fatalf("cache base %g outside [%g,%g]", b, ch.minBase, ch.maxBase)
 			}
 			lo, hi := tr.partYExtent(s)
@@ -81,7 +81,7 @@ func checkInvariants(t *testing.T, tr *Tree) {
 			count += len(segs)
 			maxR, any := 0.0, false
 			for i, s := range segs {
-				if i > 0 && tr.less(s, segs[i-1]) {
+				if i > 0 && geom.BaseLess(s, segs[i-1], tr.baseX, tr.side) {
 					t.Fatalf("leaf %d out of base order at %d", id, i)
 				}
 				if r := tr.reach(s); !any || r > maxR {

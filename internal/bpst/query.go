@@ -35,11 +35,11 @@ func (t *Tree) Query(q geom.VQuery, emit func(geom.Segment)) (QueryStats, error)
 			y := s.YAt(q.X)
 			switch {
 			case y < q.YLo:
-				if b := t.baseOf(s); b > winLo {
+				if b := s.YAt(t.baseX); b > winLo {
 					winLo = b
 				}
 			case y > q.YHi:
-				if b := t.baseOf(s); b < winHi {
+				if b := s.YAt(t.baseX); b < winHi {
 					winHi = b
 				}
 			default:

@@ -48,7 +48,7 @@ func (t *Tree) insertRec(id pager.PageID, s geom.Segment) (pager.PageID, error) 
 		return id, err
 	}
 	if segs != nil { // leaf
-		pos := sort.Search(len(segs), func(i int) bool { return t.less(s, segs[i]) })
+		pos := sort.Search(len(segs), func(i int) bool { return geom.BaseLess(s, segs[i], t.baseX, t.side) })
 		segs = append(segs, geom.Segment{})
 		copy(segs[pos+1:], segs[pos:])
 		segs[pos] = s
@@ -62,7 +62,7 @@ func (t *Tree) insertRec(id pager.PageID, s geom.Segment) (pager.PageID, error) 
 
 	ci := t.routeChild(n, s)
 	ch := &n.children[ci]
-	b := t.baseOf(s)
+	b := s.YAt(t.baseX)
 	if b < ch.minBase {
 		ch.minBase = b
 	}
@@ -86,7 +86,7 @@ func (t *Tree) insertRec(id pager.PageID, s geom.Segment) (pager.PageID, error) 
 		if err != nil {
 			return id, err
 		}
-		pos := sort.Search(len(cache), func(i int) bool { return t.less(s, cache[i]) })
+		pos := sort.Search(len(cache), func(i int) bool { return geom.BaseLess(s, cache[i], t.baseX, t.side) })
 		cache = append(cache, geom.Segment{})
 		copy(cache[pos+1:], cache[pos:])
 		cache[pos] = s
@@ -127,7 +127,7 @@ func (t *Tree) insertRec(id pager.PageID, s geom.Segment) (pager.PageID, error) 
 // routeChild picks the child run for a segment by base position: the
 // first run whose range ends at or after it, else the last run.
 func (t *Tree) routeChild(n *dnode, s geom.Segment) int {
-	b := t.baseOf(s)
+	b := s.YAt(t.baseX)
 	for i := range n.children {
 		if b <= n.children[i].maxBase {
 			return i
@@ -204,7 +204,7 @@ func (t *Tree) deleteRec(id pager.PageID, s geom.Segment) (bool, pager.PageID, e
 		return true, id, t.writeLeaf(id, segs)
 	}
 
-	b := t.baseOf(s)
+	b := s.YAt(t.baseX)
 	for ci := range n.children {
 		ch := &n.children[ci]
 		if b < ch.minBase || b > ch.maxBase {
@@ -224,7 +224,7 @@ func (t *Tree) deleteRec(id pager.PageID, s geom.Segment) (bool, pager.PageID, e
 				}
 				ch.childPage = newChild
 				if ok {
-					pos := sort.Search(len(cache), func(i int) bool { return t.less(pulled, cache[i]) })
+					pos := sort.Search(len(cache), func(i int) bool { return geom.BaseLess(pulled, cache[i], t.baseX, t.side) })
 					cache = append(cache, geom.Segment{})
 					copy(cache[pos+1:], cache[pos:])
 					cache[pos] = pulled
@@ -331,7 +331,7 @@ func (t *Tree) pullTop(id pager.PageID) (geom.Segment, bool, pager.PageID, error
 		}
 		ch.childPage = newChild
 		if ok {
-			pos := sort.Search(len(cache), func(i int) bool { return t.less(pulled, cache[i]) })
+			pos := sort.Search(len(cache), func(i int) bool { return geom.BaseLess(pulled, cache[i], t.baseX, t.side) })
 			cache = append(cache, geom.Segment{})
 			copy(cache[pos+1:], cache[pos:])
 			cache[pos] = pulled
@@ -369,7 +369,7 @@ func (t *Tree) Rebuild() error {
 	if err := t.dropRec(t.root); err != nil {
 		return err
 	}
-	sort.Slice(segs, func(i, j int) bool { return t.less(segs[i], segs[j]) })
+	sort.Slice(segs, func(i, j int) bool { return geom.BaseLess(segs[i], segs[j], t.baseX, t.side) })
 	root, err := t.buildRec(segs)
 	if err != nil {
 		return err

@@ -130,9 +130,6 @@ func (t *Tree) Len() int { return t.length }
 // Height returns the tree height in levels (1 = single leaf).
 func (t *Tree) Height() int { return t.height }
 
-// ValSize returns the fixed value size in bytes.
-func (t *Tree) ValSize() int { return t.valSize }
-
 func initNode(page []byte, typ uint8) {
 	c := pager.NewBuf(page)
 	c.PutU8(typ)

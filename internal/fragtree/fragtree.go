@@ -226,9 +226,6 @@ func Bulk(st *pager.Store, refX float64, entries []Entry) (*Tree, error) {
 // Len returns the number of entries.
 func (t *Tree) Len() int { return t.length }
 
-// RefX returns the ordering reference line.
-func (t *Tree) RefX() float64 { return t.refX }
-
 // Handle returns the persistent identity (root, height, length).
 func (t *Tree) Handle() (pager.PageID, int, int) { return t.root, t.height, t.length }
 

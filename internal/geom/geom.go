@@ -39,12 +39,6 @@ func (s Segment) String() string {
 	return fmt.Sprintf("#%d(%g,%g)-(%g,%g)", s.ID, s.A.X, s.A.Y, s.B.X, s.B.Y)
 }
 
-// WithID returns a copy of the segment carrying a different ID.
-func (s Segment) WithID(id uint64) Segment {
-	s.ID = id
-	return s
-}
-
 // MinX returns the smaller x coordinate of the two endpoints.
 func (s Segment) MinX() float64 { return math.Min(s.A.X, s.B.X) }
 

@@ -91,6 +91,37 @@ func SideReach(s Segment, baseX float64, side Side) float64 {
 	return baseX - s.MinX()
 }
 
+// Slant orders segments sharing a base point on x = baseX: the rate at
+// which the segment's y changes per unit of distance from the base line
+// on the given side. Two non-crossing segments with equal base y diverge
+// in slant order.
+func Slant(s Segment, baseX float64, side Side) float64 {
+	r := SideReach(s, baseX, side)
+	if r == 0 {
+		return 0
+	}
+	return (FarYAt(s, side) - s.YAt(baseX)) / r
+}
+
+// BaseLess is the total base-line order (baseY, slant, ID) both external
+// priority search trees keep their segments in. A stored segment need not
+// have an endpoint on the base line: Sections 3–4 store each crossing
+// segment once per side, its crossing point acting as the base endpoint of
+// the paper's clipped "left and right parts". On an NCT set this order
+// agrees with the order of crossings at every line the side-parts reach,
+// which the trees' window pruning rests on (DESIGN §5.1).
+func BaseLess(a, b Segment, baseX float64, side Side) bool {
+	ab, bb := a.YAt(baseX), b.YAt(baseX)
+	if ab != bb {
+		return ab < bb
+	}
+	as, bs := Slant(a, baseX, side), Slant(b, baseX, side)
+	if as != bs {
+		return as < bs
+	}
+	return a.ID < b.ID
+}
+
 // FarYAt returns the y coordinate of the segment's extreme endpoint on
 // the given side of the base line.
 func FarYAt(s Segment, side Side) float64 {

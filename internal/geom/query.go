@@ -85,9 +85,6 @@ func RotationAligning(dir Point) Rotation {
 	return Rotation{cos: dir.Y / n, sin: dir.X / n}
 }
 
-// Identity returns the identity rotation.
-func Identity() Rotation { return Rotation{cos: 1} }
-
 // Apply rotates a point.
 func (r Rotation) Apply(p Point) Point {
 	return Point{X: r.cos*p.X - r.sin*p.Y, Y: r.sin*p.X + r.cos*p.Y}

@@ -44,7 +44,7 @@
 //
 // The counters are store-global: the pager does not know which query a
 // Read belongs to. Callers attribute I/O to an operation by bracketing it
-// with ReadStats (or Stats) and differencing — segdb.SyncIndex does this
+// with ReadWindow (or Stats) and differencing — segdb.SyncIndex does this
 // for every query it runs. The resulting attribution is exact when
 // operations do not overlap in time. Under concurrency it is a window
 // measure with two documented skews: (1) a query's window also counts
@@ -328,26 +328,14 @@ func (s *Store) Stats() Stats {
 	return total
 }
 
-// ReadStats returns just the read-path counters (physical reads and pool
-// hits), summed over all shards. It is the cheap form of Stats for
-// per-query attribution: two atomic loads per shard, called twice per
-// query on the serving path, so it must not touch the write/alloc
-// counters it does not need.
-func (s *Store) ReadStats() (reads, hits int64) {
-	for i := range s.shards {
-		c := &s.shards[i].stats
-		reads += c.reads.Load()
-		hits += c.cacheHits.Load()
-	}
-	return reads, hits
-}
-
-// ReadWindow returns the read-path counters plus the accumulated miss
-// fill time in nanoseconds (device-read time on singleflight leaders plus
-// block time of waiters), summed over all shards — the attribution window
-// ReadStats, extended for latency attribution. The same window semantics
-// apply: exact while operations do not overlap, an upper bound under
-// concurrency.
+// ReadWindow returns the read-path counters (physical reads and pool
+// hits) plus the accumulated miss fill time in nanoseconds (device-read
+// time on singleflight leaders plus block time of waiters), summed over
+// all shards. It is the cheap form of Stats for per-query attribution:
+// three atomic loads per shard, called twice per query on the serving
+// path, so it does not touch the write/alloc counters it does not need.
+// Window semantics: exact while operations do not overlap, an upper bound
+// under concurrency.
 func (s *Store) ReadWindow() (reads, hits, missNanos int64) {
 	for i := range s.shards {
 		c := &s.shards[i].stats
@@ -359,7 +347,7 @@ func (s *Store) ReadWindow() (reads, hits, missNanos int64) {
 }
 
 // WriteStats returns the physical page writes, summed over all shards —
-// the write-path sibling of ReadStats, for per-update attribution.
+// the write-path sibling of ReadWindow, for per-update attribution.
 func (s *Store) WriteStats() (writes int64) {
 	for i := range s.shards {
 		writes += s.shards[i].stats.writes.Load()

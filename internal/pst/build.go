@@ -2,6 +2,7 @@ package pst
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"segdb/internal/geom"
@@ -28,7 +29,7 @@ func Build(st *pager.Store, baseX float64, side geom.Side, capacity int, segs []
 	}
 	ordered := make([]geom.Segment, len(segs))
 	copy(ordered, segs)
-	sort.Slice(ordered, func(i, j int) bool { return t.less(ordered[i], ordered[j]) })
+	sort.Slice(ordered, func(i, j int) bool { return geom.BaseLess(ordered[i], ordered[j], t.baseX, t.side) })
 	root, err := t.buildRec(ordered)
 	if err != nil {
 		return nil, err
@@ -46,8 +47,8 @@ func (t *Tree) buildRec(ordered []geom.Segment) (pager.PageID, error) {
 		return pager.InvalidPage, nil
 	}
 	n := &node{
-		minBase:  t.baseOf(ordered[0]),
-		maxBase:  t.baseOf(ordered[len(ordered)-1]),
+		minBase:  ordered[0].YAt(t.baseX),
+		maxBase:  ordered[len(ordered)-1].YAt(t.baseX),
 		leftTop:  noChild,
 		rightTop: noChild,
 	}
@@ -82,11 +83,11 @@ func (t *Tree) buildRec(ordered []geom.Segment) (pager.PageID, error) {
 	if len(rest) > 0 {
 		// low separates the node's segments from everything below.
 		for _, s := range rest {
-			n.low = maxf(n.low, t.reach(s))
+			n.low = math.Max(n.low, t.reach(s))
 		}
 		half := len(rest) / 2
 		leftHalf, rightHalf := rest[:half], rest[half:]
-		n.splitBase = t.baseOf(rightHalf[0])
+		n.splitBase = rightHalf[0].YAt(t.baseX)
 		var err error
 		if n.left, err = t.buildRec(leftHalf); err != nil {
 			return pager.InvalidPage, err

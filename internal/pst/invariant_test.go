@@ -40,11 +40,11 @@ func checkInvariants(t *testing.T, tr *Tree) {
 		maxR, minB, maxB := noChild, 0.0, 0.0
 		any := false
 		for i, s := range n.segs {
-			if i > 0 && tr.less(s, n.segs[i-1]) {
+			if i > 0 && geom.BaseLess(s, n.segs[i-1], tr.baseX, tr.side) {
 				t.Fatalf("node %d: block out of base order at %d", id, i)
 			}
 			r := tr.reach(s)
-			b := tr.baseOf(s)
+			b := s.YAt(tr.baseX)
 			if !any || r > maxR {
 				maxR = r
 			}

@@ -31,7 +31,6 @@ package pst
 
 import (
 	"fmt"
-	"math"
 
 	"segdb/internal/geom"
 	"segdb/internal/pager"
@@ -143,56 +142,15 @@ func Attach(st *pager.Store, baseX float64, side geom.Side, capacity int,
 	}
 }
 
-// BaseX returns the base line's x coordinate.
-func (t *Tree) BaseX() float64 { return t.baseX }
-
-// Side returns which side of the base line the segments extend to.
-func (t *Tree) Side() geom.Side { return t.side }
-
 // Len returns the number of stored segments.
 func (t *Tree) Len() int { return t.length }
 
-// Capacity returns the per-node segment capacity B.
-func (t *Tree) Capacity() int { return t.capacity }
-
 // reach is the priority of a segment: the extent of its side-part beyond
-// the base line. A stored segment need not have an endpoint exactly on
-// the base line — the two-level structures of Sections 3–4 store each
-// crossing segment once per side, with the crossing point acting as the
-// base endpoint of the paper's clipped "left and right parts" (so results
-// carry original geometry; see DESIGN.md).
+// the base line. The base-line order the tree keeps its segments in is
+// geom.BaseLess on (baseX, side), keyed by the y at which a segment meets
+// the base line, s.YAt(t.baseX).
 func (t *Tree) reach(s geom.Segment) float64 {
 	return geom.SideReach(s, t.baseX, t.side)
-}
-
-// baseOf returns the base-line ordering coordinate of a segment: the y at
-// which it meets the base line.
-func (t *Tree) baseOf(s geom.Segment) float64 {
-	return s.YAt(t.baseX)
-}
-
-// slant orders segments sharing a base point: the rate at which the
-// segment's y changes per unit of distance from the base line. Two
-// non-crossing segments with equal base y diverge in slant order.
-func (t *Tree) slant(s geom.Segment) float64 {
-	r := t.reach(s)
-	if r == 0 {
-		return 0
-	}
-	return (geom.FarYAt(s, t.side) - t.baseOf(s)) / r
-}
-
-// less is the total base-line order: (baseY, slant, ID).
-func (t *Tree) less(a, b geom.Segment) bool {
-	ab, bb := t.baseOf(a), t.baseOf(b)
-	if ab != bb {
-		return ab < bb
-	}
-	as, bs := t.slant(a), t.slant(b)
-	if as != bs {
-		return as < bs
-	}
-	return a.ID < b.ID
 }
 
 func (t *Tree) validateSegment(s geom.Segment) error {
@@ -201,11 +159,3 @@ func (t *Tree) validateSegment(s geom.Segment) error {
 	}
 	return nil
 }
-
-// crossing returns the y at which s meets the vertical line x = x0. The
-// segment must reach x0.
-func (t *Tree) crossing(s geom.Segment, x0 float64) float64 {
-	return s.YAt(x0)
-}
-
-func maxf(a, b float64) float64 { return math.Max(a, b) }

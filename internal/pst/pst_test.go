@@ -258,8 +258,8 @@ func TestVisitBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := float64(tr.Len()) / float64(tr.Capacity())
-		bound := math.Log2(n) + float64(stats.Reported)/float64(tr.Capacity()) + 2
+		n := float64(tr.Len()) / float64(tr.capacity)
+		bound := math.Log2(n) + float64(stats.Reported)/float64(tr.capacity) + 2
 		ratio := float64(stats.NodesVisited) / bound
 		if ratio > worst {
 			worst = ratio

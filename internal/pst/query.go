@@ -43,15 +43,15 @@ func (t *Tree) Query(q geom.VQuery, emit func(geom.Segment)) (QueryStats, error)
 			if t.reach(s) < qr {
 				continue
 			}
-			y := t.crossing(s, q.X)
+			y := s.YAt(q.X)
 			switch {
 			case y < q.YLo:
 				// Answers lie base-above s (order preservation).
-				if b := t.baseOf(s); b > winLo {
+				if b := s.YAt(t.baseX); b > winLo {
 					winLo = b
 				}
 			case y > q.YHi:
-				if b := t.baseOf(s); b < winHi {
+				if b := s.YAt(t.baseX); b < winHi {
 					winHi = b
 				}
 			default:
@@ -110,9 +110,9 @@ func (t *Tree) findExtreme(q geom.VQuery, rightmost bool) (geom.Segment, bool, e
 			return true
 		}
 		if rightmost {
-			return t.less(best, s)
+			return geom.BaseLess(best, s, t.baseX, t.side)
 		}
-		return t.less(s, best)
+		return geom.BaseLess(s, best, t.baseX, t.side)
 	}
 
 	var visit func(id pager.PageID) error
@@ -125,14 +125,14 @@ func (t *Tree) findExtreme(q geom.VQuery, rightmost bool) (geom.Segment, bool, e
 			if t.reach(s) < qr {
 				continue
 			}
-			y := t.crossing(s, q.X)
+			y := s.YAt(q.X)
 			switch {
 			case y < q.YLo:
-				if b := t.baseOf(s); b > winLo {
+				if b := s.YAt(t.baseX); b > winLo {
 					winLo = b
 				}
 			case y > q.YHi:
-				if b := t.baseOf(s); b < winHi {
+				if b := s.YAt(t.baseX); b < winHi {
 					winHi = b
 				}
 			default:
@@ -145,9 +145,9 @@ func (t *Tree) findExtreme(q geom.VQuery, rightmost bool) (geom.Segment, bool, e
 		lo, hi := winLo, winHi
 		if found {
 			if rightmost {
-				lo = math.Max(lo, t.baseOf(best))
+				lo = math.Max(lo, best.YAt(t.baseX))
 			} else {
-				hi = math.Min(hi, t.baseOf(best))
+				hi = math.Min(hi, best.YAt(t.baseX))
 			}
 		}
 		type childRef struct {
@@ -172,9 +172,9 @@ func (t *Tree) findExtreme(q geom.VQuery, rightmost bool) (geom.Segment, bool, e
 			lo, hi = winLo, winHi
 			if found {
 				if rightmost {
-					lo = math.Max(lo, t.baseOf(best))
+					lo = math.Max(lo, best.YAt(t.baseX))
 				} else {
-					hi = math.Min(hi, t.baseOf(best))
+					hi = math.Min(hi, best.YAt(t.baseX))
 				}
 			}
 			if k.rangeHi < lo || k.rangeLo > hi {

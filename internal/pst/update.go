@@ -40,7 +40,7 @@ func (t *Tree) Insert(s geom.Segment) error {
 }
 
 func (t *Tree) newLeaf(s geom.Segment) (pager.PageID, error) {
-	b := t.baseOf(s)
+	b := s.YAt(t.baseX)
 	n := &node{
 		count:    1,
 		segs:     []geom.Segment{s},
@@ -58,7 +58,7 @@ func (t *Tree) insertRec(id pager.PageID, s geom.Segment) error {
 	if err != nil {
 		return err
 	}
-	b := t.baseOf(s)
+	b := s.YAt(t.baseX)
 	if b < n.minBase {
 		n.minBase = b
 	}
@@ -82,9 +82,9 @@ func (t *Tree) insertRec(id pager.PageID, s geom.Segment) error {
 	// Route `down` to a child. A node that never split (fresh leaf)
 	// fixes its split key at the first displaced segment.
 	if n.left == pager.InvalidPage && n.right == pager.InvalidPage {
-		n.splitBase = t.baseOf(down)
+		n.splitBase = down.YAt(t.baseX)
 	}
-	goLeft := t.baseOf(down) < n.splitBase
+	goLeft := down.YAt(t.baseX) < n.splitBase
 	child := n.right
 	if goLeft {
 		child = n.left
@@ -116,7 +116,7 @@ func (t *Tree) insertRec(id pager.PageID, s geom.Segment) error {
 
 // blockInsert places s into the node block, keeping base order.
 func (t *Tree) blockInsert(n *node, s geom.Segment) {
-	pos := sort.Search(len(n.segs), func(i int) bool { return t.less(s, n.segs[i]) })
+	pos := sort.Search(len(n.segs), func(i int) bool { return geom.BaseLess(s, n.segs[i], t.baseX, t.side) })
 	n.segs = append(n.segs, geom.Segment{})
 	copy(n.segs[pos+1:], n.segs[pos:])
 	n.segs[pos] = s
@@ -189,7 +189,7 @@ func (t *Tree) deleteRec(id pager.PageID, s geom.Segment) (bool, pager.PageID, f
 	}
 	// Descend by split key; a tie on the base coordinate may belong to
 	// either half, so on a miss at the split value try the other child.
-	b := t.baseOf(s)
+	b := s.YAt(t.baseX)
 	first, second := n.right, n.left
 	firstLeft := false
 	if b < n.splitBase {
@@ -313,7 +313,7 @@ func (t *Tree) Rebuild() error {
 	if err := t.dropRec(t.root); err != nil {
 		return err
 	}
-	sort.Slice(segs, func(i, j int) bool { return t.less(segs[i], segs[j]) })
+	sort.Slice(segs, func(i, j int) bool { return geom.BaseLess(segs[i], segs[j], t.baseX, t.side) })
 	root, err := t.buildRec(segs)
 	if err != nil {
 		return err

@@ -23,10 +23,8 @@ import (
 func WritePrometheus(w io.Writer, s Snapshot) {
 	p := promWriter{w: w}
 
-	p.family("segdb_uptime_seconds", "Seconds since the metric registry was created.", "gauge")
-	p.sample("segdb_uptime_seconds", "", s.UptimeSeconds)
-	p.family("segdb_index_segments", "Segments stored in the served index.", "gauge")
-	p.sample("segdb_index_segments", "", float64(s.Segments))
+	p.scalar("segdb_uptime_seconds", "Seconds since the metric registry was created.", "gauge", s.UptimeSeconds)
+	p.scalar("segdb_index_segments", "Segments stored in the served index.", "gauge", float64(s.Segments))
 
 	// Per-endpoint counters, in fixed endpoint order so output is
 	// deterministic (the JSON map is not).
@@ -100,69 +98,44 @@ func WritePrometheus(w io.Writer, s Snapshot) {
 	}
 
 	// Admission gate.
-	p.family("segdb_inflight_requests", "Currently admitted requests.", "gauge")
-	p.sample("segdb_inflight_requests", "", float64(s.Admission.Inflight))
-	p.family("segdb_inflight_limit", "Admission capacity; load beyond it is shed.", "gauge")
-	p.sample("segdb_inflight_limit", "", float64(s.Admission.MaxInflight))
-	p.family("segdb_admitted_total", "Requests admitted by the gate.", "counter")
-	p.sample("segdb_admitted_total", "", float64(s.Admission.Admitted))
-	p.family("segdb_admission_shed_total", "Requests shed at saturation (429).", "counter")
-	p.sample("segdb_admission_shed_total", "", float64(s.Admission.Shed))
-	p.family("segdb_admission_rejected_total", "Requests rejected while draining (503).", "counter")
-	p.sample("segdb_admission_rejected_total", "", float64(s.Admission.Rejected))
-	p.family("segdb_draining", "1 while the server is draining, else 0.", "gauge")
-	p.sample("segdb_draining", "", boolGauge(s.Admission.Draining))
+	p.scalar("segdb_inflight_requests", "Currently admitted requests.", "gauge", float64(s.Admission.Inflight))
+	p.scalar("segdb_inflight_limit", "Admission capacity; load beyond it is shed.", "gauge", float64(s.Admission.MaxInflight))
+	p.scalar("segdb_admitted_total", "Requests admitted by the gate.", "counter", float64(s.Admission.Admitted))
+	p.scalar("segdb_admission_shed_total", "Requests shed at saturation (429).", "counter", float64(s.Admission.Shed))
+	p.scalar("segdb_admission_rejected_total", "Requests rejected while draining (503).", "counter", float64(s.Admission.Rejected))
+	p.scalar("segdb_draining", "1 while the server is draining, else 0.", "gauge", boolGauge(s.Admission.Draining))
 
 	// Write path: present only on a read-write server.
 	if s.WriteAdmission != nil {
-		p.family("segdb_inflight_updates", "Currently admitted updates.", "gauge")
-		p.sample("segdb_inflight_updates", "", float64(s.WriteAdmission.Inflight))
-		p.family("segdb_inflight_updates_limit", "Write-admission capacity; update load beyond it is shed.", "gauge")
-		p.sample("segdb_inflight_updates_limit", "", float64(s.WriteAdmission.MaxInflight))
-		p.family("segdb_updates_admitted_total", "Updates admitted by the write gate.", "counter")
-		p.sample("segdb_updates_admitted_total", "", float64(s.WriteAdmission.Admitted))
-		p.family("segdb_updates_shed_total", "Updates shed at write saturation (429).", "counter")
-		p.sample("segdb_updates_shed_total", "", float64(s.WriteAdmission.Shed))
+		p.scalar("segdb_inflight_updates", "Currently admitted updates.", "gauge", float64(s.WriteAdmission.Inflight))
+		p.scalar("segdb_inflight_updates_limit", "Write-admission capacity; update load beyond it is shed.", "gauge", float64(s.WriteAdmission.MaxInflight))
+		p.scalar("segdb_updates_admitted_total", "Updates admitted by the write gate.", "counter", float64(s.WriteAdmission.Admitted))
+		p.scalar("segdb_updates_shed_total", "Updates shed at write saturation (429).", "counter", float64(s.WriteAdmission.Shed))
 	}
 	if s.WAL != nil {
-		p.family("segdb_wal_records", "Records in the live write-ahead log since the last checkpoint.", "gauge")
-		p.sample("segdb_wal_records", "", float64(s.WAL.Records))
-		p.family("segdb_wal_size_bytes", "Size of the live write-ahead log.", "gauge")
-		p.sample("segdb_wal_size_bytes", "", float64(s.WAL.SizeBytes))
-		p.family("segdb_wal_durable_bytes", "Fsync-covered prefix of the write-ahead log.", "gauge")
-		p.sample("segdb_wal_durable_bytes", "", float64(s.WAL.DurableBytes))
-		p.family("segdb_wal_wedged", "1 once the WAL latched a write/fsync failure and refuses writes, else 0.", "gauge")
-		p.sample("segdb_wal_wedged", "", boolGauge(s.WAL.Wedged))
+		p.scalar("segdb_wal_records", "Records in the live write-ahead log since the last checkpoint.", "gauge", float64(s.WAL.Records))
+		p.scalar("segdb_wal_size_bytes", "Size of the live write-ahead log.", "gauge", float64(s.WAL.SizeBytes))
+		p.scalar("segdb_wal_durable_bytes", "Fsync-covered prefix of the write-ahead log.", "gauge", float64(s.WAL.DurableBytes))
+		p.scalar("segdb_wal_wedged", "1 once the WAL latched a write/fsync failure and refuses writes, else 0.", "gauge", boolGauge(s.WAL.Wedged))
 	}
 
 	// Compaction: present on any server whose Updater can checkpoint.
 	if s.Compact != nil {
-		p.family("segdb_compact_total", "Completed compaction attempts (admin, shutdown and auto).", "counter")
-		p.sample("segdb_compact_total", "", float64(s.Compact.Total))
-		p.family("segdb_compact_failures_total", "Compaction attempts that returned an error.", "counter")
-		p.sample("segdb_compact_failures_total", "", float64(s.Compact.Failures))
-		p.family("segdb_compact_auto_total", "Compactions fired by the background governor.", "counter")
-		p.sample("segdb_compact_auto_total", "", float64(s.Compact.Auto))
-		p.family("segdb_compact_deferred_total", "Due compactions the governor deferred (replication lag guard).", "counter")
-		p.sample("segdb_compact_deferred_total", "", float64(s.Compact.Deferred))
-		p.family("segdb_compact_last_age_seconds", "Seconds since the last compaction finished; -1 before the first.", "gauge")
-		p.sample("segdb_compact_last_age_seconds", "", s.Compact.LastAgeSeconds)
-		p.family("segdb_compact_last_duration_seconds", "Duration of the last compaction.", "gauge")
-		p.sample("segdb_compact_last_duration_seconds", "", s.Compact.LastDurationMS/1e3)
+		p.scalar("segdb_compact_total", "Completed compaction attempts (admin, shutdown and auto).", "counter", float64(s.Compact.Total))
+		p.scalar("segdb_compact_failures_total", "Compaction attempts that returned an error.", "counter", float64(s.Compact.Failures))
+		p.scalar("segdb_compact_auto_total", "Compactions fired by the background governor.", "counter", float64(s.Compact.Auto))
+		p.scalar("segdb_compact_deferred_total", "Due compactions the governor deferred (replication lag guard).", "counter", float64(s.Compact.Deferred))
+		p.scalar("segdb_compact_last_age_seconds", "Seconds since the last compaction finished; -1 before the first.", "gauge", s.Compact.LastAgeSeconds)
+		p.scalar("segdb_compact_last_duration_seconds", "Duration of the last compaction.", "gauge", s.Compact.LastDurationMS/1e3)
 	}
 
 	// Replication, leader side: shipping counters and per-follower lag.
 	if s.ReplLeader != nil {
-		p.family("segdb_repl_epoch", "Replication epoch: count of WAL rotations at this node.", "gauge")
-		p.sample("segdb_repl_epoch", "", float64(s.ReplLeader.Epoch))
-		p.family("segdb_repl_snapshots_served_total", "Checkpoint snapshots served to bootstrapping followers.", "counter")
-		p.sample("segdb_repl_snapshots_served_total", "", float64(s.ReplLeader.SnapshotsServed))
-		p.family("segdb_repl_wal_requests_total", "WAL shipping requests served.", "counter")
-		p.sample("segdb_repl_wal_requests_total", "", float64(s.ReplLeader.WALRequests))
-		p.family("segdb_repl_wal_bytes_shipped_total", "Committed WAL bytes shipped to followers.", "counter")
-		p.sample("segdb_repl_wal_bytes_shipped_total", "", float64(s.ReplLeader.WALBytesShipped))
-		p.family("segdb_repl_followers", "Followers seen polling within the staleness window.", "gauge")
-		p.sample("segdb_repl_followers", "", float64(len(s.ReplLeader.Followers)))
+		p.scalar("segdb_repl_epoch", "Replication epoch: count of WAL rotations at this node.", "gauge", float64(s.ReplLeader.Epoch))
+		p.scalar("segdb_repl_snapshots_served_total", "Checkpoint snapshots served to bootstrapping followers.", "counter", float64(s.ReplLeader.SnapshotsServed))
+		p.scalar("segdb_repl_wal_requests_total", "WAL shipping requests served.", "counter", float64(s.ReplLeader.WALRequests))
+		p.scalar("segdb_repl_wal_bytes_shipped_total", "Committed WAL bytes shipped to followers.", "counter", float64(s.ReplLeader.WALBytesShipped))
+		p.scalar("segdb_repl_followers", "Followers seen polling within the staleness window.", "gauge", float64(len(s.ReplLeader.Followers)))
 		p.family("segdb_repl_follower_lag_bytes", "Committed log each follower has not yet fetched.", "gauge")
 		for _, f := range s.ReplLeader.Followers {
 			p.sample("segdb_repl_follower_lag_bytes", followerLabel(f.ID), float64(f.LagBytes))
@@ -176,41 +149,26 @@ func WritePrometheus(w io.Writer, s Snapshot) {
 	// Replication, follower side: position and lag against the leader.
 	if s.Repl != nil {
 		if s.ReplLeader == nil { // don't duplicate the family on a node serving both roles
-			p.family("segdb_repl_epoch", "Replication epoch: count of WAL rotations at this node.", "gauge")
-			p.sample("segdb_repl_epoch", "", float64(s.Repl.Epoch))
+			p.scalar("segdb_repl_epoch", "Replication epoch: count of WAL rotations at this node.", "gauge", float64(s.Repl.Epoch))
 		}
-		p.family("segdb_repl_applied_lsn", "Leader log position this follower has applied through.", "gauge")
-		p.sample("segdb_repl_applied_lsn", "", float64(s.Repl.AppliedLSN))
-		p.family("segdb_repl_leader_durable_lsn", "Leader durability watermark as of the last poll.", "gauge")
-		p.sample("segdb_repl_leader_durable_lsn", "", float64(s.Repl.LeaderDurableLSN))
-		p.family("segdb_repl_lag_bytes", "Committed leader log not yet applied locally.", "gauge")
-		p.sample("segdb_repl_lag_bytes", "", float64(s.Repl.LagBytes))
-		p.family("segdb_repl_lag_seconds", "Seconds since this follower was last caught up.", "gauge")
-		p.sample("segdb_repl_lag_seconds", "", s.Repl.LagSeconds)
-		p.family("segdb_repl_caught_up", "1 while applied through the leader's watermark, else 0.", "gauge")
-		p.sample("segdb_repl_caught_up", "", boolGauge(s.Repl.CaughtUp))
-		p.family("segdb_repl_records_applied_total", "Replicated records applied into the live index.", "counter")
-		p.sample("segdb_repl_records_applied_total", "", float64(s.Repl.RecordsApplied))
-		p.family("segdb_repl_resnapshots_total", "Full re-bootstraps forced by leader log rotation.", "counter")
-		p.sample("segdb_repl_resnapshots_total", "", float64(s.Repl.Resnapshots))
-		p.family("segdb_repl_local_wal_records", "Records in the follower's local WAL since its last checkpoint.", "gauge")
-		p.sample("segdb_repl_local_wal_records", "", float64(s.Repl.LocalWALRecords))
+		p.scalar("segdb_repl_applied_lsn", "Leader log position this follower has applied through.", "gauge", float64(s.Repl.AppliedLSN))
+		p.scalar("segdb_repl_leader_durable_lsn", "Leader durability watermark as of the last poll.", "gauge", float64(s.Repl.LeaderDurableLSN))
+		p.scalar("segdb_repl_lag_bytes", "Committed leader log not yet applied locally.", "gauge", float64(s.Repl.LagBytes))
+		p.scalar("segdb_repl_lag_seconds", "Seconds since this follower was last caught up.", "gauge", s.Repl.LagSeconds)
+		p.scalar("segdb_repl_caught_up", "1 while applied through the leader's watermark, else 0.", "gauge", boolGauge(s.Repl.CaughtUp))
+		p.scalar("segdb_repl_records_applied_total", "Replicated records applied into the live index.", "counter", float64(s.Repl.RecordsApplied))
+		p.scalar("segdb_repl_resnapshots_total", "Full re-bootstraps forced by leader log rotation.", "counter", float64(s.Repl.Resnapshots))
+		p.scalar("segdb_repl_local_wal_records", "Records in the follower's local WAL since its last checkpoint.", "gauge", float64(s.Repl.LocalWALRecords))
 	}
 
 	// Store: totals plus the per-shard read-path breakdown (pool load
 	// balance), all straight from the shard counters.
-	p.family("segdb_store_pages_in_use", "Pages allocated in the store: the structure's space cost in blocks.", "gauge")
-	p.sample("segdb_store_pages_in_use", "", float64(s.Store.PagesInUse))
-	p.family("segdb_store_page_size_bytes", "Page size of the store.", "gauge")
-	p.sample("segdb_store_page_size_bytes", "", float64(s.Store.PageSize))
-	p.family("segdb_store_hit_ratio", "Fraction of page reads served by the buffer pool.", "gauge")
-	p.sample("segdb_store_hit_ratio", "", s.Store.HitRatio)
-	p.family("segdb_store_reads_total", "Physical page reads.", "counter")
-	p.sample("segdb_store_reads_total", "", float64(s.Store.Total.Reads))
-	p.family("segdb_store_writes_total", "Physical page writes.", "counter")
-	p.sample("segdb_store_writes_total", "", float64(s.Store.Total.Writes))
-	p.family("segdb_store_cache_hits_total", "Page reads served by the buffer pool.", "counter")
-	p.sample("segdb_store_cache_hits_total", "", float64(s.Store.Total.CacheHits))
+	p.scalar("segdb_store_pages_in_use", "Pages allocated in the store: the structure's space cost in blocks.", "gauge", float64(s.Store.PagesInUse))
+	p.scalar("segdb_store_page_size_bytes", "Page size of the store.", "gauge", float64(s.Store.PageSize))
+	p.scalar("segdb_store_hit_ratio", "Fraction of page reads served by the buffer pool.", "gauge", s.Store.HitRatio)
+	p.scalar("segdb_store_reads_total", "Physical page reads.", "counter", float64(s.Store.Total.Reads))
+	p.scalar("segdb_store_writes_total", "Physical page writes.", "counter", float64(s.Store.Total.Writes))
+	p.scalar("segdb_store_cache_hits_total", "Page reads served by the buffer pool.", "counter", float64(s.Store.Total.CacheHits))
 	p.family("segdb_store_shard_reads_total", "Physical page reads by pool shard.", "counter")
 	for i, sh := range s.Store.Shards {
 		p.sample("segdb_store_shard_reads_total", shardLabel(i), float64(sh.Reads))
@@ -266,8 +224,7 @@ func WritePrometheus(w io.Writer, s Snapshot) {
 	}
 
 	if s.SlowLog != nil {
-		p.family("segdb_slow_requests_total", "Requests that crossed a slow-query threshold.", "counter")
-		p.sample("segdb_slow_requests_total", "", float64(s.SlowLog.Total))
+		p.scalar("segdb_slow_requests_total", "Requests that crossed a slow-query threshold.", "counter", float64(s.SlowLog.Total))
 	}
 }
 
@@ -314,6 +271,12 @@ func (p *promWriter) family(name, help, typ string) {
 	fmt.Fprintf(p.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
+// scalar writes a family that is one unlabelled sample, naming it once.
+func (p *promWriter) scalar(name, help, typ string, v float64) {
+	p.family(name, help, typ)
+	p.sample(name, "", v)
+}
+
 func (p *promWriter) sample(name, labels string, v float64) {
 	if labels != "" {
 		labels = "{" + labels + "}"
@@ -350,14 +313,9 @@ func (p *promWriter) eachEndpoint(s Snapshot, f func(name string, ep EndpointSna
 }
 
 // formatPromValue renders a float the way Prometheus expects: shortest
-// round-trip representation, no exponent for typical counter values.
-func formatPromValue(v float64) string {
-	s := strconv.FormatFloat(v, 'g', -1, 64)
-	// FormatFloat 'g' can produce "1e+06" for large counters; that is
-	// valid exposition format, so leave it — but normalize the one case
-	// Go renders oddly for the format's float grammar: nothing to do.
-	return s
-}
+// round-trip representation ("1e+06" for large counters is valid
+// exposition format).
+func formatPromValue(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // PromText renders the snapshot to a string; tests and tools use it.
 func PromText(s Snapshot) string {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -279,9 +280,6 @@ func New(ix Index, st *segdb.Store, cfg Config) *Server {
 	return s
 }
 
-// Tracer exposes the request tracer (nil when disabled), e.g. for tests.
-func (s *Server) Tracer() *trace.Tracer { return s.tracer }
-
 // cur returns the currently served index/store pair. A handler reads it
 // once and uses that pair throughout, so a concurrent swap never mixes
 // two indexes inside one request.
@@ -295,9 +293,6 @@ func (s *Server) cur() *serveState { return s.state.Load() }
 func (s *Server) SwapIndex(ix Index, st *segdb.Store) {
 	s.state.Store(newServeState(ix, st))
 }
-
-// Metrics exposes the registry, e.g. for tests.
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Gate exposes the admission gate, e.g. for tests.
 func (s *Server) Gate() *Gate { return s.gate }
@@ -516,8 +511,9 @@ type QueryResponse struct {
 // time is on it, and echoes the traceparent on every traced response,
 // errors included — headers precede any body write. The caller finishes
 // root whatever ok says. The body is read through http.MaxBytesReader:
-// an oversized one answers 413 having decoded at most maxBody bytes. A
-// body that does not decode cannot be attributed to the single or batch
+// an oversized one answers 413 having decoded at most maxBody bytes.
+// Unknown fields and trailing data are 400. A body that does not decode
+// cannot be attributed to the single or batch
 // form, so it is counted on the parse pseudo-endpoint, which keeps
 // errors <= requests on every row. On !ok the response has been written.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, req any) (rctx context.Context, root *trace.Span, ok bool) {
@@ -526,7 +522,19 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, req any) (rctx c
 		w.Header().Set(trace.Header, root.Traceparent())
 	}
 	_, psp := trace.StartSpan(rctx, trace.StageParse)
-	derr := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(req)
+	// Strict: an unknown field (a misspelt bound would silently widen the
+	// query) or anything after the one JSON value is a malformed request.
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
+	dec.DisallowUnknownFields()
+	derr := dec.Decode(req)
+	if derr == nil {
+		switch _, terr := dec.Token(); {
+		case terr == nil:
+			derr = errors.New("trailing data after the JSON value")
+		case terr != io.EOF: // malformed tail, or the size bound hit while reading it
+			derr = fmt.Errorf("trailing data after the JSON value: %w", terr)
+		}
+	}
 	psp.End()
 	if derr != nil {
 		s.metrics.OnParseError()
@@ -575,15 +583,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ep := EPQuery
+	// One engine call serves both forms: the single form is a batch of
+	// one at parallelism 1, which runs on the calling goroutine.
+	ep, specs, par := EPQuery, []QuerySpec{req.QuerySpec}, 1
 	if req.Queries != nil {
-		ep = EPBatch
+		ep, specs, par = EPBatch, req.Queries, req.Parallelism
+		if par <= 0 || par > s.cfg.BatchParallelism {
+			par = s.cfg.BatchParallelism
+		}
 	}
 	s.metrics.OnRequest(ep)
-	if ep == EPBatch && len(req.Queries) > s.cfg.MaxBatch {
+	if len(specs) > s.cfg.MaxBatch {
 		s.metrics.OnError(ep)
 		httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Queries), s.cfg.MaxBatch))
+			fmt.Sprintf("batch of %d exceeds limit %d", len(specs), s.cfg.MaxBatch))
 		return
 	}
 	if !s.admit(rctx, w, s.gate, ep) {
@@ -603,76 +616,53 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	start := time.Now()
-	cur := s.cur()
-	var resp QueryResponse
+	// The batch runner gives each subquery its query span and stops at the
+	// deadline: workers start nothing new once ctx is done and abort
+	// queries already emitting, so a timed-out request sheds its load.
+	queries := make([]segdb.Query, len(specs))
+	for i, qs := range specs {
+		queries[i] = qs.Query()
+	}
+	results := s.cur().ix.QueryBatchContext(ctx, queries, par)
 	var answers int
 	var io QueryIO
-	var results []segdb.BatchResult // batch form only; slow-log attribution
-	if ep == EPBatch {
-		par := req.Parallelism
-		if par <= 0 || par > s.cfg.BatchParallelism {
-			par = s.cfg.BatchParallelism
-		}
-		queries := make([]segdb.Query, len(req.Queries))
-		for i, qs := range req.Queries {
-			queries[i] = qs.Query()
-		}
-		// QueryBatchContext stops running queries at the deadline: workers
-		// start nothing new once ctx is done and abort queries already
-		// emitting, so a timed-out batch sheds its load promptly instead
-		// of burning a worker pool on answers nobody will receive. Each
-		// subquery gets its own query span from the batch runner.
-		results = cur.ix.QueryBatchContext(ctx, queries, par)
-		resp.Results = make([]QueryResult, len(results))
-		for i, br := range results {
-			qr := QueryResult{Count: len(br.Hits)}
-			if !req.OmitHits {
-				qr.Hits = toWire(br.Hits)
-			}
-			if br.Err != nil {
-				qr.Error = br.Err.Error()
-			}
-			answers += len(br.Hits)
-			io.Add(br.Stats)
-			resp.Results[i] = qr
-		}
-		if err := ctx.Err(); err != nil {
-			s.metrics.OnFailure(ep)
-			s.observeSlow(ep, querySummary(&req), time.Since(start), io, answers, "deadline", root, results)
-			httpError(w, http.StatusServiceUnavailable, "batch exceeded deadline: "+err.Error())
-			return
-		}
-	} else {
-		var hits []segdb.Segment
-		qctx, qsp := trace.StartSpan(ctx, trace.StageQuery)
-		st, err := cur.ix.QueryContext(qctx, req.QuerySpec.Query(), func(sg segdb.Segment) {
-			hits = append(hits, sg)
-		})
-		if qsp != nil {
-			qsp.TagInt("answers", int64(len(hits)))
-			qsp.TagInt("pages_read", st.PagesRead)
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				qsp.Tag("cancelled", "true")
-			}
-			qsp.End()
-		}
-		io.Add(st)
-		if err != nil {
-			s.metrics.OnFailure(ep)
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				s.observeSlow(ep, querySummary(&req), time.Since(start), io, len(hits), "deadline", root, nil)
-				httpError(w, http.StatusServiceUnavailable, "query cancelled: "+err.Error())
-			} else {
-				s.observeSlow(ep, querySummary(&req), time.Since(start), io, len(hits), "error", root, nil)
-				httpError(w, http.StatusInternalServerError, err.Error())
-			}
-			return
-		}
-		resp.Count = len(hits)
+	wire := make([]QueryResult, len(results))
+	for i, br := range results {
+		qr := QueryResult{Count: len(br.Hits)}
 		if !req.OmitHits {
-			resp.Hits = toWire(hits)
+			qr.Hits = toWire(br.Hits)
 		}
-		answers = len(hits)
+		if br.Err != nil {
+			qr.Error = br.Err.Error()
+		}
+		answers += len(br.Hits)
+		io.Add(br.Stats)
+		wire[i] = qr
+	}
+
+	// The forms differ only in how a failure surfaces: a batch reports
+	// per-query errors inline and fails only on its deadline; a single
+	// query's error is the request's.
+	var resp QueryResponse
+	var status, failure string
+	code := http.StatusServiceUnavailable
+	if ep == EPBatch {
+		resp.Results = wire
+		if err := ctx.Err(); err != nil {
+			status, failure = "deadline", "batch exceeded deadline: "+err.Error()
+		}
+	} else if err := results[0].Err; err == nil {
+		resp.QueryResult = wire[0]
+	} else if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		status, failure = "deadline", "query cancelled: "+err.Error()
+	} else {
+		status, failure, code = "error", err.Error(), http.StatusInternalServerError
+	}
+	if status != "" {
+		s.metrics.OnFailure(ep)
+		s.observeSlow(ep, querySummary(&req), time.Since(start), io, answers, status, root, results)
+		httpError(w, code, failure)
+		return
 	}
 	elapsed := time.Since(start)
 	resp.ElapsedMS = float64(elapsed) / 1e6

@@ -4,9 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"regexp"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,11 +21,12 @@ import (
 	"segdb/internal/faultdev"
 	"segdb/internal/pager"
 	"segdb/internal/server"
+	"segdb/internal/trace"
 	"segdb/internal/workload"
 )
 
 // testServer builds a small Solution-2 index in memory and serves it.
-func testServer(t *testing.T, cfg server.Config) (*httptest.Server, *server.Server, []segdb.Segment) {
+func testServer(t testing.TB, cfg server.Config) (*httptest.Server, *server.Server, []segdb.Segment) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
 	segs := workload.Grid(rng, 10, 10, 0.9, 0.2)
@@ -510,7 +517,6 @@ func TestServeStatszInvariantUnderMalformedTraffic(t *testing.T) {
 	hs, srv, segs := testServer(t, server.Config{})
 	box := workload.BBox(segs)
 
-	const bad = 7
 	garbage := [][]byte{
 		[]byte(`{bad json`),
 		[]byte(`[1,2,3`),
@@ -519,10 +525,13 @@ func TestServeStatszInvariantUnderMalformedTraffic(t *testing.T) {
 		[]byte(``),
 		[]byte(`{"queries": [{"x": {}}]}`),
 		[]byte(`{{{`),
+		[]byte(`{"x":1}{"x":2}`),   // trailing data: two requests in one body
+		[]byte(`{"x":1,"ylow":5}`), // unknown field: would run as a stabbing line
 	}
-	for i := 0; i < bad; i++ {
+	bad := int64(len(garbage))
+	for i := range garbage {
 		resp, err := http.Post(hs.URL+"/v1/query", "application/json",
-			bytes.NewReader(garbage[i%len(garbage)]))
+			bytes.NewReader(garbage[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -764,6 +773,121 @@ func TestQueryOnFaultyStore(t *testing.T) {
 	for i, r := range qr.Results {
 		if r.Error == "" {
 			t.Fatalf("batch result %d reported no error on a dead disk", i)
+		}
+	}
+}
+
+// postRaw posts body verbatim to /v1/query and returns the status and the
+// response bytes with the one wall-clock field zeroed.
+func postRaw(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, elapsedField.ReplaceAllString(string(b), `"elapsed_ms":0`)
+}
+
+var elapsedField = regexp.MustCompile(`"elapsed_ms":[0-9.e+-]+`)
+
+// TestSingleFormGolden pins the single form's wire bytes, status codes
+// and 500/503 messages to what the handler answered when it had a
+// hand-rolled single-query path (recorded at that commit, elapsed_ms
+// zeroed): serving the single form as a batch of one must be invisible
+// on the wire.
+func TestSingleFormGolden(t *testing.T) {
+	hs, _, _ := testServer(t, server.Config{})
+	for _, g := range []struct{ req, want string }{
+		{`{"x":4.5,"ylo":2,"yhi":4.25}`,
+			`{"count":3,"hits":[{"id":65,"ax":4.034020428194692,"ay":2.8080022031093392,"bx":4.979742288030982,"by":3.1100926567659566},{"id":84,"ax":3.9843360650152806,"ay":3.8126056465217273,"bx":5.12732549397579,"by":4.034166745038302},{"id":46,"ax":4.00466601875637,"ay":2.094134597537056,"bx":4.948165234457147,"by":2.0593184160630353}],"elapsed_ms":0}` + "\n"},
+		{`{"x":4.5,"ylo":2,"yhi":4.25,"omit_hits":true}`, `{"count":3,"elapsed_ms":0}` + "\n"},
+		{`{"x":-100}`, `{"count":0,"elapsed_ms":0}` + "\n"},
+	} {
+		if code, got := postRaw(t, hs.URL, g.req); code != http.StatusOK || got != g.want {
+			t.Errorf("%s:\n got %d %q\nwant 200 %q", g.req, code, got, g.want)
+		}
+	}
+
+	fs, dev := faultServer(t, server.Config{})
+	dev.SetBudget(0)
+	want := `{"error":"pager: read page 20: op 21: faultdev: injected device fault"}` + "\n"
+	if code, got := postRaw(t, fs.URL, `{"x":5}`); code != http.StatusInternalServerError || got != want {
+		t.Errorf("dead disk: got %d %q, want 500 %q", code, got, want)
+	}
+
+	srv := server.New(segdb.Synchronized(&spinningIndex{}), nil, server.Config{DefaultTimeout: time.Minute})
+	ss := httptest.NewServer(srv.Handler())
+	defer ss.Close()
+	want = `{"error":"query cancelled: context deadline exceeded"}` + "\n"
+	if code, got := postRaw(t, ss.URL, `{"x":0.5,"omit_hits":true,"timeout_ms":50}`); code != http.StatusServiceUnavailable || got != want {
+		t.Errorf("deadline: got %d %q, want 503 %q", code, got, want)
+	}
+}
+
+// TestSingleFormEqualsBatchOfOne drives two identical servers in lock
+// step, one with single-form requests and one with the same queries as
+// one-element batches: count, hits, the endpoint's pages-read histogram
+// row and the span tree under request must agree, because both forms are
+// one engine call.
+func TestSingleFormEqualsBatchOfOne(t *testing.T) {
+	cfg := server.Config{TraceSample: 1, TraceRing: 64}
+	single, ssrv, segs := testServer(t, cfg)
+	batch, bsrv, _ := testServer(t, cfg)
+	box := workload.BBox(segs)
+	rng := rand.New(rand.NewSource(17))
+	queries := workload.RandomVS(rng, 30, box, 2)
+	queries = append(queries, workload.RandomStabs(rng, 5, box)...)
+	for _, q := range queries {
+		spec := server.QuerySpec{X: q.X} // open bounds are spelled by omission
+		if !math.IsInf(q.YLo, -1) {
+			spec.YLo = ptr(q.YLo)
+		}
+		if !math.IsInf(q.YHi, 1) {
+			spec.YHi = ptr(q.YHi)
+		}
+		_, one := postQuery(t, single.URL, server.QueryRequest{QuerySpec: spec})
+		_, many := postQuery(t, batch.URL, server.QueryRequest{Queries: []server.QuerySpec{spec}})
+		if len(many.Results) != 1 || !reflect.DeepEqual(one.QueryResult, many.Results[0]) {
+			t.Fatalf("%v: single %+v != batch of one %+v", q, one.QueryResult, many.Results)
+		}
+	}
+	sq, bq := ssrv.Snapshot().Endpoints["query"], bsrv.Snapshot().Endpoints["batch"]
+	if sq.PagesRead.Count != int64(len(queries)) || !reflect.DeepEqual(sq.PagesRead, bq.PagesRead) {
+		t.Fatalf("pages-read rows differ:\nsingle %+v\nbatch  %+v", sq.PagesRead, bq.PagesRead)
+	}
+	if sq.Answers != bq.Answers || sq.IOReads != bq.IOReads || sq.IOHits != bq.IOHits {
+		t.Fatalf("endpoint rows differ:\nsingle %+v\nbatch  %+v", sq, bq)
+	}
+
+	// Span trees as sorted parent/child stage pairs, one string per trace.
+	shapes := func(url string) []string {
+		var out []string
+		for _, tr := range fetchTracez(t, url).Traces {
+			stage := map[trace.SpanID]string{}
+			for _, sp := range tr.Spans {
+				stage[sp.ID] = sp.Stage
+			}
+			var edges []string
+			for _, sp := range tr.Spans {
+				edges = append(edges, stage[sp.Parent]+">"+sp.Stage)
+			}
+			sort.Strings(edges)
+			out = append(out, strings.Join(edges, " "))
+		}
+		return out
+	}
+	ss, bs := shapes(single.URL), shapes(batch.URL)
+	if len(ss) != len(queries) || !reflect.DeepEqual(ss, bs) {
+		t.Fatalf("span trees differ:\nsingle %q\nbatch  %q", ss, bs)
+	}
+	for _, sh := range ss {
+		if !strings.Contains(sh, "request>query") {
+			t.Fatalf("no query span under request: %q", sh)
 		}
 	}
 }

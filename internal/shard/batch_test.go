@@ -38,7 +38,7 @@ func TestShardBatchStatsMerge(t *testing.T) {
 		before[k] = pcount{p.Reads, p.CacheHits}
 	}
 
-	results := s.QueryBatch(queries, 1)
+	results := s.QueryBatchContext(context.Background(), queries, 1)
 	m := segdb.MergeBatchStats(results)
 
 	var wantReads, wantHits int64

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -151,8 +152,8 @@ func runDifferential(t *testing.T, k int, seed int64) {
 	// QueryBatch must agree per query too, at several parallelism levels
 	// (1 is the sequential path, >1 the worker-pool fan-out).
 	for _, par := range []int{1, 4} {
-		got := s.QueryBatch(queries, par)
-		want := ref.Index().QueryBatch(queries, par)
+		got := s.QueryBatchContext(context.Background(), queries, par)
+		want := ref.Index().QueryBatchContext(context.Background(), queries, par)
 		for i := range queries {
 			if got[i].Err != nil || want[i].Err != nil {
 				t.Fatalf("par %d query %d: errs %v / %v", par, i, got[i].Err, want[i].Err)
@@ -212,7 +213,7 @@ func TestShardDifferentialConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				for _, res := range s.QueryBatch(queries, 2) {
+				for _, res := range s.QueryBatchContext(context.Background(), queries, 2) {
 					if res.Err != nil {
 						errc <- res.Err
 						return

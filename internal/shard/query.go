@@ -83,12 +83,6 @@ func (s *Store) QueryContext(ctx context.Context, q segdb.Query, emit func(segdb
 	return st, nil
 }
 
-// QueryBatch answers queries concurrently across the shards. It is
-// QueryBatchContext without a deadline.
-func (s *Store) QueryBatch(queries []segdb.Query, parallelism int) []segdb.BatchResult {
-	return s.QueryBatchContext(context.Background(), queries, parallelism)
-}
-
 // QueryBatchContext scatter-gathers a batch: segdb.QueryBatchContext's
 // bounded worker pool pulls queries off a shared cursor and each lands
 // on its owning shard, so queries of different slabs proceed on

@@ -98,7 +98,9 @@ func Attach(st *pager.Store, cfg Config, root pager.PageID, length int) (*Index,
 
 // --- second-level handle plumbing ----------------------------------------
 
-// lineTree abstracts the two PST implementations for L(v) and R(v).
+// lineTree abstracts the two PST implementations for L(v) and R(v). Both
+// trees already have every method but QueryInto, which drops their
+// differing per-tree query stats.
 type lineTree interface {
 	QueryInto(q geom.VQuery, emit func(geom.Segment)) error
 	Insert(s geom.Segment) error
@@ -106,34 +108,22 @@ type lineTree interface {
 	Collect() ([]geom.Segment, error)
 	Drop() error
 	Len() int
-	handle() (pager.PageID, int, int)
+	Handle() (root pager.PageID, length, sinceRebuild int)
 }
 
-type pstAdapter struct{ t *pst.Tree }
+type pstLine struct{ *pst.Tree }
 
-func (a pstAdapter) QueryInto(q geom.VQuery, emit func(geom.Segment)) error {
-	_, err := a.t.Query(q, emit)
+func (a pstLine) QueryInto(q geom.VQuery, emit func(geom.Segment)) error {
+	_, err := a.Query(q, emit)
 	return err
 }
-func (a pstAdapter) Insert(s geom.Segment) error         { return a.t.Insert(s) }
-func (a pstAdapter) Delete(s geom.Segment) (bool, error) { return a.t.Delete(s) }
-func (a pstAdapter) Collect() ([]geom.Segment, error)    { return a.t.Collect() }
-func (a pstAdapter) Drop() error                         { return a.t.Drop() }
-func (a pstAdapter) Len() int                            { return a.t.Len() }
-func (a pstAdapter) handle() (pager.PageID, int, int)    { return a.t.Handle() }
 
-type bpstAdapter struct{ t *bpst.Tree }
+type bpstLine struct{ *bpst.Tree }
 
-func (a bpstAdapter) QueryInto(q geom.VQuery, emit func(geom.Segment)) error {
-	_, err := a.t.Query(q, emit)
+func (a bpstLine) QueryInto(q geom.VQuery, emit func(geom.Segment)) error {
+	_, err := a.Query(q, emit)
 	return err
 }
-func (a bpstAdapter) Insert(s geom.Segment) error         { return a.t.Insert(s) }
-func (a bpstAdapter) Delete(s geom.Segment) (bool, error) { return a.t.Delete(s) }
-func (a bpstAdapter) Collect() ([]geom.Segment, error)    { return a.t.Collect() }
-func (a bpstAdapter) Drop() error                         { return a.t.Drop() }
-func (a bpstAdapter) Len() int                            { return a.t.Len() }
-func (a bpstAdapter) handle() (pager.PageID, int, int)    { return a.t.Handle() }
 
 func (ix *Index) buildLine(baseX float64, side geom.Side, segs []geom.Segment) (lineTree, error) {
 	if ix.cfg.Plain {
@@ -141,20 +131,20 @@ func (ix *Index) buildLine(baseX float64, side geom.Side, segs []geom.Segment) (
 		if err != nil {
 			return nil, err
 		}
-		return pstAdapter{t}, nil
+		return pstLine{t}, nil
 	}
 	t, err := bpst.Build(ix.st, baseX, side, segs)
 	if err != nil {
 		return nil, err
 	}
-	return bpstAdapter{t}, nil
+	return bpstLine{t}, nil
 }
 
 func (ix *Index) attachLine(baseX float64, side geom.Side, root pager.PageID, length, since int) lineTree {
 	if ix.cfg.Plain {
-		return pstAdapter{pst.Attach(ix.st, baseX, side, ix.cfg.B, root, length, since)}
+		return pstLine{pst.Attach(ix.st, baseX, side, ix.cfg.B, root, length, since)}
 	}
-	return bpstAdapter{bpst.Attach(ix.st, baseX, side, root, length, since)}
+	return bpstLine{bpst.Attach(ix.st, baseX, side, root, length, since)}
 }
 
 // --- node pages -----------------------------------------------------------
@@ -208,7 +198,7 @@ func (ix *Index) writeInternal(id pager.PageID, n *inode) error {
 }
 
 func putLine(c *pager.Buf, lt lineTree) {
-	root, length, since := lt.handle()
+	root, length, since := lt.Handle()
 	c.PutPage(root)
 	c.PutU32(uint32(length))
 	c.PutU32(uint32(since))

@@ -45,7 +45,9 @@
 package segdb
 
 import (
-	"segdb/internal/core"
+	"fmt"
+
+	"segdb/internal/baseline"
 	"segdb/internal/geom"
 	"segdb/internal/multidir"
 	"segdb/internal/pager"
@@ -65,11 +67,53 @@ type Query = geom.VQuery
 // Rotation maps data into the frame where queries are vertical.
 type Rotation = geom.Rotation
 
-// Index is a VS-query index; see package core for the contract.
-type Index = core.Index
+// Index is a VS-query index over an NCT segment database. Two
+// implementations of the paper's contribution exist, Solution 1 (Section 3
+// / Theorem 1) and Solution 2 (Section 4 / Theorem 2), plus the baselines
+// the experiments compare them against.
+type Index interface {
+	// Query reports every stored segment intersected by q, exactly once.
+	Query(q Query, emit func(Segment)) (QueryStats, error)
+	// Insert adds a segment; it must keep the database non-crossing.
+	Insert(s Segment) error
+	// Delete removes the segment with s's identity and geometry. The
+	// semi-dynamic Solution 2 returns ErrUnsupported.
+	Delete(s Segment) (bool, error)
+	// Len returns the number of stored segments.
+	Len() int
+	// Collect returns every stored segment.
+	Collect() ([]Segment, error)
+	// Drop frees all pages.
+	Drop() error
+}
 
-// QueryStats describes the work of one query.
-type QueryStats = core.QueryStats
+// QueryStats describes the work a single query performed. The structural
+// counters are filled by the index implementations themselves; the I/O
+// attribution fields are filled by the synchronization layer above
+// (SyncIndex / QueryBatchContext) from pager shard-counter windows,
+// because the indexes share one store and cannot tell their own reads
+// apart. Window attribution is exact for non-overlapping queries; see the
+// pager package comment for its semantics under concurrency.
+type QueryStats struct {
+	FirstLevelNodes int // first-level nodes visited
+	Reported        int // segments reported (the query's T)
+	GListSearches   int // Solution 2: multislab lists positioned from the root
+	GBridgeJumps    int // Solution 2: lists positioned through bridges
+	GFallbacks      int // Solution 2: failed bridge navigations
+
+	// PagesRead and PoolHits are the physical page reads and buffer-pool
+	// hits observed during the query's window, when the caller attributes
+	// I/O (zero otherwise). PagesRead is the query's cost in the paper's
+	// I/O model.
+	PagesRead int64
+	PoolHits  int64
+
+	// MissNanos is the wall time the query's window spent filling pool
+	// misses (device reads plus singleflight waits), when the caller
+	// attributes I/O. It powers the pager_miss span of a traced query;
+	// like PagesRead it is a window measure, exact only without overlap.
+	MissNanos int64
+}
 
 // Store is the simulated secondary storage all structures live on.
 type Store = pager.Store
@@ -77,8 +121,9 @@ type Store = pager.Store
 // IOStats are the store's block-transfer counters.
 type IOStats = pager.Stats
 
-// ErrUnsupported is returned for operations outside a structure's model.
-var ErrUnsupported = core.ErrUnsupported
+// ErrUnsupported is returned by operations outside a structure's model
+// (deletion on the semi-dynamic Solution 2 and on the scan baseline).
+var ErrUnsupported = sol2.ErrUnsupported
 
 // ErrInvalidSegment marks a segment the index structures reject (zero ID
 // or degenerate geometry); match with errors.Is.
@@ -163,48 +208,150 @@ type Options struct {
 	NoCascade bool
 }
 
+// sol1Config and sol2Config map the public Options to each structure's
+// configuration; buildOptions is the inverse.
+func (o Options) sol1Config() sol1.Config {
+	return sol1.Config{B: o.B, Plain: o.PlainPST, Alpha: o.Alpha}
+}
+
+func (o Options) sol2Config() sol2.Config { return sol2.Config{B: o.B, D: o.D} }
+
+// buildOptions recovers the solution number and the Options that rebuild
+// ix with its own configuration; sol is 0 for the baselines.
+func buildOptions(ix Index) (sol int, opt Options) {
+	switch v := ix.(type) {
+	case solution1:
+		cfg := v.Config()
+		return 1, Options{B: cfg.B, PlainPST: cfg.Plain, Alpha: cfg.Alpha}
+	case solution2:
+		cfg := v.Config()
+		return 2, Options{B: cfg.B, D: cfg.D, NoCascade: !v.UseBridges}
+	}
+	return 0, Options{}
+}
+
+// solution1 adapts sol1.Index to the Index interface.
+type solution1 struct{ *sol1.Index }
+
+func (s solution1) Query(q Query, emit func(Segment)) (QueryStats, error) {
+	st, err := s.Index.Query(q, emit)
+	return QueryStats{FirstLevelNodes: st.FirstLevelNodes, Reported: st.Reported}, err
+}
+
+// DescribeString returns a human-readable structural summary (full
+// traversal; a diagnostic).
+func (s solution1) DescribeString() (string, error) { return describeString(s.Describe()) }
+
+// solution2 adapts sol2.Index to the Index interface.
+type solution2 struct{ *sol2.Index }
+
+func (s solution2) Query(q Query, emit func(Segment)) (QueryStats, error) {
+	st, err := s.Index.Query(q, emit)
+	return QueryStats{
+		FirstLevelNodes: st.FirstLevelNodes,
+		Reported:        st.Reported,
+		GListSearches:   st.G.ListsSearched,
+		GBridgeJumps:    st.G.BridgeJumps,
+		GFallbacks:      st.G.Fallbacks,
+	}, err
+}
+
+// DescribeString returns a human-readable structural summary (full
+// traversal; a diagnostic).
+func (s solution2) DescribeString() (string, error) { return describeString(s.Describe()) }
+
+func describeString(d fmt.Stringer, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return d.String(), nil
+}
+
 // BuildSolution1 bulk-loads the paper's first structure (Section 3,
 // Theorem 1): linear space, O(log n · log_B n + t) queries, fully
 // dynamic.
 func BuildSolution1(st *Store, opt Options, segs []Segment) (Index, error) {
-	ix, err := core.BuildSolution1(st, sol1.Config{B: opt.B, Plain: opt.PlainPST, Alpha: opt.Alpha}, segs)
+	ix, err := sol1.Build(st, opt.sol1Config(), segs)
 	if err != nil {
 		return nil, err
 	}
-	return ix, nil
+	return solution1{ix}, nil
 }
 
 // BuildSolution2 bulk-loads the paper's improved structure (Section 4,
 // Theorem 2): O(n log2 B) space, O(log_B n ·(log_B n + log2 B) + t)
 // queries, semi-dynamic (insertions only).
 func BuildSolution2(st *Store, opt Options, segs []Segment) (Index, error) {
-	ix, err := core.BuildSolution2(st, sol2.Config{B: opt.B, D: opt.D}, segs)
+	ix, err := sol2.Build(st, opt.sol2Config(), segs)
 	if err != nil {
 		return nil, err
 	}
-	ix.Index.UseBridges = !opt.NoCascade
-	return ix, nil
+	ix.UseBridges = !opt.NoCascade
+	return solution2{ix}, nil
 }
 
-// NewScanBaseline builds the full-scan comparator.
+// scanBaseline adapts baseline.Scan to the Index interface.
+type scanBaseline struct{ *baseline.Scan }
+
+func (s scanBaseline) Query(q Query, emit func(Segment)) (QueryStats, error) {
+	var st QueryStats
+	err := s.Scan.Query(q, func(sg Segment) {
+		st.Reported++
+		emit(sg)
+	})
+	return st, err
+}
+
+// Delete implements Index; the scan baseline does not support deletion.
+func (s scanBaseline) Delete(Segment) (bool, error) { return false, ErrUnsupported }
+
+// NewScanBaseline builds the full-scan comparator: the segments stored as
+// a packed page chain.
 func NewScanBaseline(st *Store, segs []Segment) (Index, error) {
-	ix, err := core.NewScanBaseline(st, segs)
+	sc, err := baseline.NewScan(st, segs)
 	if err != nil {
 		return nil, err
 	}
-	return ix, nil
+	return scanBaseline{sc}, nil
 }
+
+// stabFilterBaseline adapts baseline.StabFilter to the Index interface.
+type stabFilterBaseline struct {
+	*baseline.StabFilter
+	// touched is the t_line of the most recent query: every segment
+	// crossing the query's vertical line, hit or not.
+	touched int
+}
+
+func (s *stabFilterBaseline) Query(q Query, emit func(Segment)) (QueryStats, error) {
+	var st QueryStats
+	touched, err := s.StabFilter.Query(q, func(sg Segment) {
+		st.Reported++
+		emit(sg)
+	})
+	s.touched = touched
+	return st, err
+}
+
+// Touched returns the t_line of the most recent query.
+func (s *stabFilterBaseline) Touched() int { return s.touched }
+
+// Collect is not tracked by the stab-filter baseline.
+func (s *stabFilterBaseline) Collect() ([]Segment, error) { return nil, ErrUnsupported }
+
+// Drop is not tracked by the stab-filter baseline.
+func (s *stabFilterBaseline) Drop() error { return ErrUnsupported }
 
 // NewStabFilterBaseline builds the stab-and-filter comparator: an
 // interval tree over x-projections plus a y filter — the best approach
 // available from pre-paper work, whose cost scales with the number of
 // segments crossing the query's LINE rather than its segment.
 func NewStabFilterBaseline(st *Store, b int, segs []Segment) (Index, error) {
-	ix, err := core.NewStabFilterBaseline(st, b, segs)
+	f, err := baseline.NewStabFilter(st, b, segs)
 	if err != nil {
 		return nil, err
 	}
-	return ix, nil
+	return &stabFilterBaseline{StabFilter: f}, nil
 }
 
 // MultiIndex answers intersection queries along a fixed set of registered
@@ -218,7 +365,7 @@ type MultiIndex = multidir.Index
 // the given query directions (each a non-zero vector; a direction and its
 // negation are the same).
 func BuildMultiDirection(st *Store, opt Options, dirs []Point, segs []Segment) (*MultiIndex, error) {
-	return multidir.Build(st, sol2.Config{B: opt.B, D: opt.D}, dirs, segs)
+	return multidir.Build(st, opt.sol2Config(), dirs, segs)
 }
 
 // compacter is the optional interface of indexes that can rebuild

@@ -79,17 +79,10 @@ func (w ioWindow) end(st *QueryStats) {
 	st.MissNanos = m1 - w.m0
 }
 
-// Query implements the Index contract under a shared lock.
+// Query implements the Index contract under a shared lock: QueryContext
+// without a deadline.
 func (s *SyncIndex) Query(q Query, emit func(Segment)) (QueryStats, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.fatal != nil {
-		return QueryStats{}, s.fatal
-	}
-	w := s.beginIO()
-	st, err := s.ix.Query(q, emit)
-	w.end(&st)
-	return st, err
+	return s.QueryContext(context.Background(), q, emit)
 }
 
 // queryAborted unwinds a query whose context was cancelled mid-emission.

@@ -372,12 +372,12 @@ func TestSyncIOAttribution(t *testing.T) {
 	box := workload.BBox(segs)
 	q := segdb.VSeg((box.MinX+box.MaxX)/2, box.MinY, box.MaxY)
 
-	r0, h0 := st.ReadStats()
+	r0, h0, _ := st.ReadWindow()
 	stats, err := ix.Query(q, func(segdb.Segment) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, h1 := st.ReadStats()
+	r1, h1, _ := st.ReadWindow()
 	if stats.PagesRead == 0 {
 		t.Fatal("query on a cold 4-page pool attributed zero physical reads")
 	}
