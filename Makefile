@@ -17,8 +17,9 @@ test:
 
 # Race-detector gate: every concurrency-sensitive test (pager races,
 # singleflight, QueryBatch, SyncIndex stress, server admission/drain,
-# crash matrix, compaction vs concurrent commits, segdbd's run per
-# serving mode) must pass under -race.
+# crash matrix, compaction vs concurrent commits and its seeded
+# interleaving oracle, MemDevice snapshots under writers, segdbd's run
+# per serving mode) must pass under -race.
 race:
 	$(GO) test -race -run 'Concurrent|Race|Sync|Singleflight|Batch|Admission|Drain|Gate|Histogram|Serve|Crash|Repl|Shard|Compact|Run' ./internal/pager ./internal/server ./...
 
@@ -75,6 +76,10 @@ trace-smoke:
 # WAL crash-matrix gate: kill the log at every record boundary and the
 # checkpoint at every step, then recover and verify — under -race. The
 # shard matrices kill one shard's WAL/checkpoint while the others commit.
+# The ...Carry matrices (DurableCrashMatrixCheckpointCarry,
+# ShardCrashMatrixCompactCarry) commit writes from inside the off-lock
+# checkpoint build, so the compaction's carried tail is not empty when
+# the device or the log dies.
 wal-crash:
 	$(GO) test -race -run 'DurableCrash|DurableCheckpoint|WALCrash|TornTail|ShardCrash' . ./internal/wal ./internal/shard
 

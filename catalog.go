@@ -312,10 +312,18 @@ func openProbedStore(path string, pageSize, version, cachePages int) (*Store, er
 // stack: v3 files read through checksum verification, v2 files (built
 // before page checksums) open as-is. As a recovery pass, an orphaned
 // <path>.tmp left by a build or compact that crashed before its commit
-// rename is removed. On any error after the store opens, the store is
-// closed.
+// rename is removed — so this is the open of a process that owns the
+// file; VerifyIndexFile inspects a file another process may be
+// checkpointing and opens without the pass. On any error after the
+// store opens, the store is closed.
 func OpenIndexFile(path string, B, cachePages int) (*Store, Index, error) {
 	RecoverIndexFile(path)
+	return openIndexFile(path, B, cachePages)
+}
+
+// openIndexFile is OpenIndexFile without the recovery pass: it touches
+// nothing but path itself.
+func openIndexFile(path string, B, cachePages int) (*Store, Index, error) {
 	b, pageSize, version, err := probeFile(path)
 	if err != nil {
 		return nil, nil, err

@@ -627,8 +627,8 @@ func printReport(r Report, snapErr, promErr error) {
 			fmt.Println()
 		}
 		if c := s.Compact; c != nil && c.Total > 0 {
-			fmt.Printf("  server compactions: %d (%d auto, %d failed, %d deferred), last %.1fms, %.1fs ago\n",
-				c.Total, c.Auto, c.Failures, c.Deferred, c.LastDurationMS, c.LastAgeSeconds)
+			fmt.Printf("  server compactions: %d (%d auto, %d failed, %d deferred), last ran %.1fms (stalled writes %.1fms), %.1fs ago\n",
+				c.Total, c.Auto, c.Failures, c.Deferred, c.LastDurationMS, c.LastStallMS, c.LastAgeSeconds)
 		}
 	}
 	for _, t := range r.Replicas {

@@ -5,6 +5,7 @@ import (
 	"os"
 
 	"segdb/internal/pager"
+	"segdb/internal/wal"
 )
 
 // Index files are mutated only through a shadow-file commit: the new
@@ -39,7 +40,27 @@ func BuildIndexFile(path string, opt Options, sol int, segs []Segment) error {
 	return buildIndexFile(path, opt, sol, segs, nil)
 }
 
-func buildIndexFile(path string, opt Options, sol int, segs []Segment, wrap deviceWrapper) (err error) {
+func buildIndexFile(path string, opt Options, sol int, segs []Segment, wrap deviceWrapper) error {
+	sh, err := buildShadow(path, opt, sol, segs, wrap)
+	if err != nil {
+		return err
+	}
+	return sh.commit()
+}
+
+// shadow is a complete, fsynced index at <path>.tmp that has not been
+// renamed over path yet: the protocol between its two commit points.
+// DurableIndex.Compact is the one caller that acts in between — it
+// upserts the records that reached the log while the build ran.
+type shadow struct {
+	path string // the commit target; the build lives at shadowPath(path)
+	st   *Store
+	ix   *SyncIndex
+}
+
+// buildShadow is the build half of the shadow-file commit: it builds the
+// index in <path>.tmp and fsyncs it. On error nothing is left behind.
+func buildShadow(path string, opt Options, sol int, segs []Segment, wrap deviceWrapper) (_ *shadow, err error) {
 	if opt.B == 0 {
 		opt.B = 32
 	}
@@ -51,7 +72,7 @@ func buildIndexFile(path string, opt Options, sol int, segs []Segment, wrap devi
 	logical := PageSizeFor(opt.B)
 	fdev, err := pager.OpenFileDevice(tmp, pager.PhysicalPageSize(logical))
 	if err != nil {
-		return fmt.Errorf("segdb: build %s: %w", path, err)
+		return nil, fmt.Errorf("segdb: build %s: %w", path, err)
 	}
 	var dev pager.Device = fdev
 	if wrap != nil {
@@ -61,41 +82,76 @@ func buildIndexFile(path string, opt Options, sol int, segs []Segment, wrap devi
 	if err != nil {
 		dev.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("segdb: build %s: %w", path, err)
+		return nil, fmt.Errorf("segdb: build %s: %w", path, err)
 	}
+	sh := &shadow{path: path, st: st}
 	defer func() {
 		if err != nil {
-			st.Close()
-			os.Remove(tmp)
+			sh.abort()
 		}
 	}()
 
+	var ix Index
 	switch sol {
 	case 1:
-		_, err = CreateSolution1(st, opt, segs)
+		ix, err = CreateSolution1(st, opt, segs)
 	case 2:
-		_, err = CreateSolution2(st, opt, segs)
+		ix, err = CreateSolution2(st, opt, segs)
 	default:
 		err = fmt.Errorf("segdb: build %s: unknown solution %d", path, sol)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
+	sh.ix = Synchronized(ix)
 	// Commit point 1: everything (data pages + catalog) reaches the
 	// platter before the rename can expose the file under path.
 	if err = st.Sync(); err != nil {
-		return fmt.Errorf("segdb: build %s: sync: %w", path, err)
+		return nil, fmt.Errorf("segdb: build %s: sync: %w", path, err)
 	}
-	if err = st.Close(); err != nil {
-		return fmt.Errorf("segdb: build %s: close: %w", path, err)
+	return sh, nil
+}
+
+// upsert applies logged records to the shadow index in log order, with
+// the rule the live index and recovery replay use (SyncIndex.apply), and
+// re-establishes commit point 1: catalog saved, file fsynced. The
+// caller aborts the shadow on error.
+func (sh *shadow) upsert(recs []wal.Record) error {
+	if len(recs) == 0 {
+		return nil
 	}
-	// Commit point 2: the atomic rename, made durable by the directory
-	// fsync. Before the rename a crash leaves the old file; after it, the
-	// new one.
-	if err = pager.CommitFile(tmp, path); err != nil {
-		return fmt.Errorf("segdb: build %s: %w", path, err)
+	for _, r := range recs {
+		if _, _, err := sh.ix.apply(r); err != nil {
+			return fmt.Errorf("segdb: build %s: catch up segment %d: %w", sh.path, r.Seg.ID, err)
+		}
+	}
+	if err := Save(sh.st, sh.ix.ix); err != nil {
+		return fmt.Errorf("segdb: build %s: %w", sh.path, err)
+	}
+	if err := sh.st.Sync(); err != nil {
+		return fmt.Errorf("segdb: build %s: sync: %w", sh.path, err)
 	}
 	return nil
+}
+
+// commit is the commit half: the atomic rename, made durable by the
+// directory fsync. Before the rename a crash leaves the old file; after
+// it, the new one.
+func (sh *shadow) commit() error {
+	if err := sh.st.Close(); err != nil {
+		os.Remove(shadowPath(sh.path))
+		return fmt.Errorf("segdb: build %s: close: %w", sh.path, err)
+	}
+	if err := pager.CommitFile(shadowPath(sh.path), sh.path); err != nil {
+		return fmt.Errorf("segdb: build %s: %w", sh.path, err)
+	}
+	return nil
+}
+
+// abort discards the shadow; the committed file is untouched.
+func (sh *shadow) abort() {
+	sh.st.Close()
+	os.Remove(shadowPath(sh.path))
 }
 
 // CompactIndexFile rewrites the index file at path balanced and tightly

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"segdb/internal/pager"
+	"segdb/internal/sol1"
 	"segdb/internal/trace"
 	"segdb/internal/wal"
 )
@@ -85,6 +86,21 @@ type DurableIndex struct {
 	live *SyncIndex
 	mem  *Store
 	log  *wal.Log
+	// memdev is the RAM device under mem, beneath any LiveDevice wrapper.
+	// The store is write-through, so between updates it holds the whole
+	// live index; compaction snapshots it instead of collecting under
+	// upMu.
+	memdev *pager.MemDevice
+
+	// While a compaction is past its mark (carrying), every record
+	// appended to the log is also kept in carry, in log order, for the
+	// compaction to upsert into its shadow checkpoint. Guarded by upMu.
+	carrying bool
+	carry    []wal.Record
+
+	// lastStall is how long the last compaction held upMu, in
+	// nanoseconds: the part of its run time writers waited for.
+	lastStall atomic.Int64
 
 	// cfMu guards cf, the in-flight compaction; concurrent Compact
 	// callers coalesce onto it instead of queueing a second rotation.
@@ -206,11 +222,12 @@ func openDurableIndex(path string, dopt DurableOptions, walFile wal.File, wrap d
 		return nil, fmt.Errorf("segdb: durable index %s: close: %w", path, err)
 	}
 
-	memdev := pager.Device(pager.NewMemDevice(PageSizeFor(opt.B)))
+	memdev := pager.NewMemDevice(PageSizeFor(opt.B))
+	livedev := pager.Device(memdev)
 	if dopt.LiveDevice != nil {
-		memdev = dopt.LiveDevice(memdev)
+		livedev = dopt.LiveDevice(livedev)
 	}
-	mem, err := pager.Open(memdev, PageSizeFor(opt.B), dopt.CachePages)
+	mem, err := pager.Open(livedev, PageSizeFor(opt.B), dopt.CachePages)
 	if err != nil {
 		return nil, fmt.Errorf("segdb: durable index %s: live store: %w", path, err)
 	}
@@ -255,6 +272,7 @@ func openDurableIndex(path string, dopt DurableOptions, walFile wal.File, wrap d
 		replPos:   pos,
 		live:      live,
 		mem:       mem,
+		memdev:    memdev,
 		log:       log,
 	}
 	if d.epochPath != "" {
@@ -434,7 +452,16 @@ func (d *DurableIndex) applyLogged(ctx context.Context, rec wal.Record) (had boo
 		}
 		return had, st, 0, err
 	}
+	d.carryLogged(rec)
 	return had, st, lsn, nil
+}
+
+// carryLogged hands a record the log just accepted to the compaction in
+// flight, if one is past its mark. Requires upMu.
+func (d *DurableIndex) carryLogged(rec wal.Record) {
+	if d.carrying {
+		d.carry = append(d.carry, rec)
+	}
 }
 
 // syncTraced acknowledges lsn through the group commit. On a traced ctx
@@ -471,8 +498,10 @@ func (d *DurableIndex) syncTraced(ctx context.Context, lsn int64) error {
 
 // Compact checkpoints: it rebuilds the index file from the live state
 // through the shadow-file commit (crash leaves the old checkpoint or the
-// new one, never a hybrid) and then rotates the log. Updates are blocked
-// for the duration; queries keep running until the final state swap. A
+// new one, never a hybrid) and then rotates the log. The rebuild runs
+// beside the writers: updates and queries wait only for the mark at the
+// start and the publish at the end (see compact), a few milliseconds
+// however large the index is; LastCompactStall reports how long. A
 // crash after the commit rename but before the rotation is benign — the
 // stale records replay as upserts over the new checkpoint.
 //
@@ -480,11 +509,11 @@ func (d *DurableIndex) syncTraced(ctx context.Context, lsn int64) error {
 // rotation already in progress and return its error, instead of queueing
 // a second checkpoint behind it. Nothing in the system wants
 // back-to-back rotations — an admin call racing a SIGTERM checkpoint, or
-// the background governor racing either, means the same WAL records; the
-// joiner's writes committed after the leader's Collect simply stay in
-// the post-rotation log, where replay finds them. A caller that needs a
-// checkpoint covering a specific write must call again after the
-// in-flight one returns.
+// the background governor racing either, means the same WAL records; a
+// joiner's write acknowledged before the leader's publish is in the
+// new checkpoint, a later one in the post-rotation log, where replay
+// finds it. A caller that needs a checkpoint covering a specific write
+// must call again after the in-flight one returns.
 func (d *DurableIndex) Compact() error {
 	d.cfMu.Lock()
 	if f := d.cf; f != nil {
@@ -506,24 +535,144 @@ func (d *DurableIndex) Compact() error {
 	return err
 }
 
+// LastCompactStall reports how long the most recent compaction held the
+// update lock — the part of its run time writers waited for, as opposed
+// to the run time its caller measured.
+func (d *DurableIndex) LastCompactStall() time.Duration {
+	return time.Duration(d.lastStall.Load())
+}
+
+const (
+	// catchupTail is the most carried records a compaction applies to
+	// its shadow while holding upMu; with more than that pending it runs
+	// another off-lock round first.
+	catchupTail = 16
+	// maxCatchupRounds bounds the off-lock rounds. Writers that outrun
+	// the catch-up this many times in a row do not starve the rotation:
+	// the publish then applies what the last round left, a stall bounded
+	// by one round's worth of writes, never by the index.
+	maxCatchupRounds = 16
+)
+
 // compact is the checkpoint+rotation body, running with the
-// single-flight slot held.
+// single-flight slot held. It has three phases, and nothing proportional
+// to the index runs under upMu in any of them:
+//
+//  1. mark, under upMu and the live shared lock: freeze the live pages
+//     (a copy-on-write snapshot of the RAM device, no page is read or
+//     written) and start carrying every record the log accepts.
+//  2. build, beside the writers: collect the segments from the frozen
+//     pages, build and fsync the shadow checkpoint, then upsert the
+//     carried records into it in rounds, each round taking what arrived
+//     during the one before, until at most catchupTail are pending.
+//  3. publish, under upMu: upsert the pending few, rename the shadow
+//     over the checkpoint, bump the epoch, rotate the log.
+//
+// At the rename the shadow holds the mark's state plus every record
+// logged since, in log order: it equals the live state, and the log
+// being retired adds nothing to it. That instant is the only one
+// writers must be kept out of. Any failure — or a log found wedged at
+// publish — aborts the shadow and stops the carry, leaving the old
+// checkpoint and the full log.
 func (d *DurableIndex) compact() error {
-	// upMu holds updates off from Collect through Reset: a write landing
-	// between the collect and the rotation would be in neither the new
-	// checkpoint nor the surviving log. Queries only pause during
-	// Collect's shared-lock scan.
+	var held time.Duration
+	defer func() { d.lastStall.Store(int64(held)) }()
+
 	d.upMu.Lock()
-	defer d.upMu.Unlock()
-	if err := d.log.Wedged(); err != nil {
+	t0 := time.Now()
+	frozen, err := d.mark()
+	held += time.Since(t0)
+	d.upMu.Unlock()
+	if err != nil {
 		return err
 	}
-	segs, err := d.live.Collect()
-	if err != nil {
-		return fmt.Errorf("segdb: checkpoint %s: %w", d.path, err)
+
+	var sh *shadow
+	segs, err := frozen.collect(d.mem.PageSize())
+	if err == nil {
+		sh, err = buildShadow(d.path, d.opt, 1, segs, d.wrap)
 	}
-	if err := buildIndexFile(d.path, d.opt, 1, segs, d.wrap); err != nil {
-		return fmt.Errorf("segdb: checkpoint %s: %w", d.path, err)
+	for round := 0; err == nil; round++ {
+		d.upMu.Lock()
+		t0 = time.Now()
+		pending := d.carry
+		d.carry = nil
+		if len(pending) <= catchupTail || round == maxCatchupRounds {
+			err = d.publish(sh, pending)
+			held += time.Since(t0)
+			d.upMu.Unlock()
+			return err
+		}
+		held += time.Since(t0)
+		d.upMu.Unlock()
+		err = sh.upsert(pending)
+	}
+
+	if sh != nil {
+		sh.abort()
+	}
+	d.upMu.Lock()
+	d.carrying, d.carry = false, nil
+	d.upMu.Unlock()
+	return fmt.Errorf("segdb: checkpoint %s: %w", d.path, err)
+}
+
+// frozenIndex is the live index as of a compaction's mark: its identity
+// and a snapshot of the pages it lives on.
+type frozenIndex struct {
+	pages  *pager.MemSnapshot
+	cfg    sol1.Config
+	root   pager.PageID
+	length int
+}
+
+// mark is compaction phase 1. Requires upMu; the shared lock on top
+// keeps out anything that mutates the live index without it.
+func (d *DurableIndex) mark() (frozenIndex, error) {
+	if err := d.log.Wedged(); err != nil {
+		return frozenIndex{}, err
+	}
+	d.live.mu.RLock()
+	defer d.live.mu.RUnlock()
+	if d.live.fatal != nil {
+		return frozenIndex{}, d.live.fatal
+	}
+	ix := d.live.ix.(solution1)
+	d.carrying, d.carry = true, nil
+	return frozenIndex{pages: d.memdev.Snapshot(), cfg: ix.Config(), root: ix.Root(), length: ix.Len()}, nil
+}
+
+// collect walks the frozen index on a pool-less read-only store and
+// releases the snapshot.
+func (f frozenIndex) collect(pageSize int) ([]Segment, error) {
+	st, err := pager.Open(f.pages, pageSize, 0)
+	if err != nil {
+		f.pages.Close()
+		return nil, err
+	}
+	defer st.Close()
+	ix, err := sol1.Attach(st, f.cfg, f.root, f.length)
+	if err != nil {
+		return nil, err
+	}
+	return ix.Collect()
+}
+
+// publish is compaction phase 3. Requires upMu, which makes pending the
+// last records the retiring log will ever hold.
+func (d *DurableIndex) publish(sh *shadow, pending []wal.Record) error {
+	d.carrying = false
+	fail := func(err error) error { return fmt.Errorf("segdb: checkpoint %s: %w", d.path, err) }
+	if err := d.log.Wedged(); err != nil {
+		sh.abort()
+		return err
+	}
+	if err := sh.upsert(pending); err != nil {
+		sh.abort()
+		return fail(err)
+	}
+	if err := sh.commit(); err != nil {
+		return fail(err)
 	}
 	// The epoch bump commits strictly between the checkpoint and the
 	// rotation, and the in-memory mirror advances before the truncate.
@@ -537,12 +686,12 @@ func (d *DurableIndex) compact() error {
 	next := d.epoch.Load() + 1
 	if d.epochPath != "" {
 		if err := storeEpoch(d.epochPath, next); err != nil {
-			return fmt.Errorf("segdb: checkpoint %s: %w", d.path, err)
+			return fail(err)
 		}
 	}
 	d.statsMu.Lock()
 	d.epoch.Store(next)
-	err = d.log.Reset()
+	err := d.log.Reset()
 	d.statsMu.Unlock()
 	return err
 }
@@ -675,6 +824,7 @@ func (d *DurableIndex) ApplyReplicated(recs []wal.Record) error {
 			if lsn, err = d.log.Append(r); err != nil {
 				break
 			}
+			d.carryLogged(r)
 		}
 	}
 	d.upMu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"segdb/internal/faultdev"
 	"segdb/internal/pager"
 	"segdb/internal/wal"
 	"segdb/internal/workload"
@@ -175,27 +176,6 @@ func TestGovernorCompactStagger(t *testing.T) {
 	}
 }
 
-// gateDevice blocks the first armed checkpoint write until released —
-// how the single-flight test holds one Compact mid-build while
-// concurrent callers pile in.
-type gateDevice struct {
-	pager.Device
-	armed   *atomic.Bool
-	once    *sync.Once
-	entered chan struct{}
-	release chan struct{}
-}
-
-func (g *gateDevice) WritePage(idx uint32, p []byte) error {
-	if g.armed.Load() {
-		g.once.Do(func() {
-			close(g.entered)
-			<-g.release
-		})
-	}
-	return g.Device.WritePage(idx, p)
-}
-
 // TestDurableCompactSingleFlight holds one Compact inside its
 // checkpoint build and fires concurrent Compact calls at it: they must
 // coalesce onto the in-flight rotation — one build, one epoch bump —
@@ -210,8 +190,17 @@ func TestDurableCompactSingleFlight(t *testing.T) {
 	var once sync.Once
 	entered := make(chan struct{})
 	release := make(chan struct{})
+	// The first armed checkpoint write blocks until released: the test's
+	// handle on "one Compact is mid-build".
 	wrap := func(dev pager.Device) pager.Device {
-		return &gateDevice{Device: dev, armed: &armed, once: &once, entered: entered, release: release}
+		return &faultdev.Tap{Device: dev, BeforeWrite: func(int, int) {
+			if armed.Load() {
+				once.Do(func() {
+					close(entered)
+					<-release
+				})
+			}
+		}}
 	}
 
 	f := wal.NewFaultFile(3)

@@ -252,3 +252,29 @@ func (d *Device) Checksummed() bool {
 }
 
 var _ pager.Device = (*Device)(nil)
+
+// Tap is a pass-through device that lets a test act at a chosen point
+// of a build: BeforeWrite runs ahead of every WritePage with that
+// write's ordinal and the number of Syncs forwarded so far, on the
+// goroutine doing the write. Crash tests use it to commit writes beside
+// an off-lock checkpoint build at a fixed, repeatable page write; it
+// composes with Device (wrap the Device in the Tap).
+type Tap struct {
+	pager.Device
+	BeforeWrite func(write, syncs int)
+
+	writes, syncs int
+}
+
+// WritePage implements pager.Device.
+func (t *Tap) WritePage(idx uint32, p []byte) error {
+	t.BeforeWrite(t.writes, t.syncs)
+	t.writes++
+	return t.Device.WritePage(idx, p)
+}
+
+// Sync implements pager.Device.
+func (t *Tap) Sync() error {
+	t.syncs++
+	return t.Device.Sync()
+}

@@ -29,6 +29,9 @@ type MemDevice struct {
 	mu       sync.Mutex
 	pageSize int
 	pages    [][]byte
+	// snaps are the unreleased snapshots. While one shares a page's
+	// buffer, WritePage replaces the buffer instead of overwriting it.
+	snaps []*MemSnapshot
 }
 
 // NewMemDevice returns an empty in-memory device with the given page size.
@@ -54,10 +57,77 @@ func (d *MemDevice) WritePage(idx uint32, p []byte) error {
 	for int(idx) >= len(d.pages) {
 		d.pages = append(d.pages, nil)
 	}
-	if d.pages[idx] == nil {
+	if d.pages[idx] == nil || d.shared(idx) {
 		d.pages[idx] = make([]byte, d.pageSize)
 	}
 	copy(d.pages[idx], p)
+	return nil
+}
+
+// shared reports whether an unreleased snapshot still holds the buffer
+// page idx lives in. Requires d.mu.
+func (d *MemDevice) shared(idx uint32) bool {
+	for _, s := range d.snaps {
+		if int(idx) < len(s.pages) && s.pages[idx] != nil && &s.pages[idx][0] == &d.pages[idx][0] {
+			return true
+		}
+	}
+	return false
+}
+
+// Snapshot freezes the device's current contents as a read-only Device,
+// in O(1) page copies: it duplicates the page-pointer slice, not the
+// pages. From then on a WritePage to a page the snapshot still shares
+// installs a fresh buffer (copy-on-write, one allocation per page per
+// snapshot) and the snapshot keeps the old one, so its bytes never
+// change however the device is written. Closing the snapshot ends
+// copy-on-write; a snapshot that is never closed pins its pages and
+// keeps every first write to a page allocating.
+func (d *MemDevice) Snapshot() *MemSnapshot {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	s := &MemSnapshot{dev: d, pages: append([][]byte(nil), d.pages...)}
+	d.snaps = append(d.snaps, s)
+	return s
+}
+
+// MemSnapshot is a frozen image of a MemDevice, see MemDevice.Snapshot.
+// It serves one reader at a time; Close must not race ReadPage.
+type MemSnapshot struct {
+	dev   *MemDevice
+	pages [][]byte // nil once closed
+}
+
+// ReadPage implements Device. It takes no lock: while the snapshot is
+// open nothing writes to the buffers it holds.
+func (s *MemSnapshot) ReadPage(idx uint32, p []byte) error {
+	if int(idx) >= len(s.pages) || s.pages[idx] == nil {
+		return fmt.Errorf("memsnapshot: page %d not in the snapshot", idx)
+	}
+	copy(p, s.pages[idx])
+	return nil
+}
+
+// WritePage implements Device; a snapshot is read-only.
+func (s *MemSnapshot) WritePage(idx uint32, _ []byte) error {
+	return fmt.Errorf("memsnapshot: write page %d: snapshot is read-only", idx)
+}
+
+// Sync implements Device; there is nothing to flush.
+func (s *MemSnapshot) Sync() error { return nil }
+
+// Close implements Device: it releases the snapshot, so the device
+// writes in place again. Closing twice is a no-op.
+func (s *MemSnapshot) Close() error {
+	s.dev.mu.Lock()
+	defer s.dev.mu.Unlock()
+	for i, o := range s.dev.snaps {
+		if o == s {
+			s.dev.snaps = append(s.dev.snaps[:i], s.dev.snaps[i+1:]...)
+			break
+		}
+	}
+	s.pages = nil
 	return nil
 }
 

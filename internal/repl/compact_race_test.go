@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"segdb"
+	"segdb/internal/faultdev"
+	"segdb/internal/pager"
 	"segdb/internal/repl"
 	"segdb/internal/wal"
 	"segdb/internal/workload"
@@ -47,7 +49,11 @@ func (g *gatedWriter) Write(p []byte) (int, error) {
 }
 
 // TestReplCompactDuringSnapshotStream races a leader compaction against
-// a follower's bootstrap download: the rotation renames a fresh
+// a follower's bootstrap, with writers beside both. The follower asks
+// for its snapshot while the compaction is in the middle of its
+// checkpoint build — the build holds no lock, so the request is served
+// at once, pairing the old checkpoint with the old epoch while writes
+// keep being acknowledged — and the rotation then renames a fresh
 // checkpoint over the path while half the old one is on the wire. The
 // pinned-inode contract says the follower must still complete a
 // CONSISTENT old-epoch snapshot (not a torn mix of two checkpoints),
@@ -55,8 +61,22 @@ func (g *gatedWriter) Write(p []byte) (int, error) {
 // re-snapshot, and converge on the leader's post-rotation state.
 func TestReplCompactDuringSnapshotStream(t *testing.T) {
 	dir := t.TempDir()
+	// buildGate holds the leader's next compaction at the third page
+	// write of its checkpoint build.
+	var buildGate atomic.Bool
+	building, resume := make(chan struct{}), make(chan struct{})
 	d, err := segdb.OpenDurableIndex(filepath.Join(dir, "leader.db"), filepath.Join(dir, "leader.wal"),
-		segdb.DurableOptions{Build: segdb.Options{B: 16}})
+		segdb.DurableOptions{
+			Build: segdb.Options{B: 16},
+			CheckpointDevice: func(dev pager.Device) pager.Device {
+				return &faultdev.Tap{Device: dev, BeforeWrite: func(write, _ int) {
+					if write == 2 && buildGate.CompareAndSwap(true, false) {
+						close(building)
+						<-resume
+					}
+				}}
+			},
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +120,18 @@ func TestReplCompactDuringSnapshotStream(t *testing.T) {
 		PollWait:       20 * time.Millisecond,
 		CompactRecords: -1,
 	}
+	// Hold the next compaction mid-build and commit beside it.
+	buildGate.Store(true)
+	compacted := make(chan error, 1)
+	go func() { compacted <- d.Compact() }()
+	<-building
+	mid := barrier + (len(ops)-barrier)/2
+	for _, op := range ops[barrier:mid] {
+		applyOp(t, d, op)
+	}
+
+	// The follower bootstraps now: mid-build, with writes in the log the
+	// build has not seen.
 	armed.Store(true)
 	type openResult struct {
 		f   *repl.Follower
@@ -112,12 +144,14 @@ func TestReplCompactDuringSnapshotStream(t *testing.T) {
 	}()
 	<-entered
 
-	// The follower's download is stalled mid-body. Rotate the log away
-	// from under it and keep committing.
-	if err := d.Compact(); err != nil {
+	// The follower's download is stalled mid-body. Let the compaction
+	// catch up and rotate the log away from under it, and keep
+	// committing.
+	close(resume)
+	if err := <-compacted; err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range ops[barrier:] {
+	for _, op := range ops[mid:] {
 		applyOp(t, d, op)
 	}
 	armed.Store(false)

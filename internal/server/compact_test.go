@@ -13,12 +13,17 @@ import (
 )
 
 // compactingUpdater is a healthy Updater that also implements Compacter,
-// with a settable Compact outcome.
+// with a settable Compact outcome, and reports a fixed lock-held time
+// for its last compaction the way DurableIndex and shard.Store do.
 type compactingUpdater struct {
 	mu         sync.Mutex
 	compactErr error
 	compacts   int
 }
+
+const fakeStall = 3 * time.Millisecond
+
+func (u *compactingUpdater) LastCompactStall() time.Duration { return fakeStall }
 
 func (u *compactingUpdater) Insert(segdb.Segment) (segdb.UpdateStats, error) {
 	return segdb.UpdateStats{}, nil
@@ -82,11 +87,19 @@ func TestServeCompactStats(t *testing.T) {
 	if cs.Total != 2 || cs.Auto != 1 || cs.Deferred != 1 {
 		t.Fatalf("after auto compact + deferral: %+v", cs)
 	}
+	// The two times are kept apart: 80 ms of run time, 3 ms of it with
+	// the update lock held. The budget judged the run time.
+	if cs.LastDurationMS != 80 || cs.LastStallMS != 3 {
+		t.Fatalf("last compaction ran %v ms, stalled %v ms; want 80 and 3", cs.LastDurationMS, cs.LastStallMS)
+	}
 	slow := srv.SlowLog().Snapshot()
 	found := false
 	for _, e := range slow.Entries {
 		if e.Endpoint == "compact" && e.Query == "auto" && e.Status == "ok" {
 			found = true
+			if e.ElapsedMS != 80 || e.StallMS != 3 {
+				t.Fatalf("slow compact entry: elapsed %v ms, stall %v ms; want 80 and 3", e.ElapsedMS, e.StallMS)
+			}
 		}
 	}
 	if !found {
@@ -126,9 +139,20 @@ func TestServeCompactStats(t *testing.T) {
 		"segdb_compact_deferred_total 1",
 		"segdb_compact_last_age_seconds",
 		"segdb_compact_last_duration_seconds",
+		"segdb_compact_last_stall_seconds 0.003",
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("/metricsz missing %q:\n%s", want, buf.String())
+		}
+	}
+	// The new series goes through the strict parser like every other.
+	samples, types := parsePromStrict(t, buf.String())
+	if types["segdb_compact_last_stall_seconds"] != "gauge" {
+		t.Fatalf("segdb_compact_last_stall_seconds has type %q, want gauge", types["segdb_compact_last_stall_seconds"])
+	}
+	for _, sm := range samples {
+		if sm.Name == "segdb_compact_last_stall_seconds" && (sm.Value != fakeStall.Seconds() || len(sm.Labels) != 0) {
+			t.Fatalf("segdb_compact_last_stall_seconds = %v %v, want %v unlabelled", sm.Value, sm.Labels, fakeStall.Seconds())
 		}
 	}
 

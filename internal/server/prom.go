@@ -126,7 +126,8 @@ func WritePrometheus(w io.Writer, s Snapshot) {
 		p.scalar("segdb_compact_auto_total", "Compactions fired by the background governor.", "counter", float64(s.Compact.Auto))
 		p.scalar("segdb_compact_deferred_total", "Due compactions the governor deferred (replication lag guard).", "counter", float64(s.Compact.Deferred))
 		p.scalar("segdb_compact_last_age_seconds", "Seconds since the last compaction finished; -1 before the first.", "gauge", s.Compact.LastAgeSeconds)
-		p.scalar("segdb_compact_last_duration_seconds", "Duration of the last compaction.", "gauge", s.Compact.LastDurationMS/1e3)
+		p.scalar("segdb_compact_last_duration_seconds", "Run time of the last compaction, nearly all of it beside the writers.", "gauge", s.Compact.LastDurationMS/1e3)
+		p.scalar("segdb_compact_last_stall_seconds", "How long the last compaction held the update lock.", "gauge", s.Compact.LastStallMS/1e3)
 	}
 
 	// Replication, leader side: shipping counters and per-follower lag.

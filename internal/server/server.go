@@ -76,6 +76,18 @@ type Compacter interface {
 	Compact() error
 }
 
+// compactStaller is the optional extension of a Compacter that knows how
+// long its last compaction held the update lock. *segdb.DurableIndex
+// reports its own; *shard.Store the longest of its slabs'.
+type compactStaller interface {
+	LastCompactStall() time.Duration
+}
+
+var (
+	_ compactStaller = (*segdb.DurableIndex)(nil)
+	_ compactStaller = (*shard.Store)(nil)
+)
+
 // Follower is what the serving layer needs from a read replica: its
 // replication status for /statsz and /metricsz, and the lag health
 // check for deep /healthz. *repl.Follower satisfies it.
@@ -212,6 +224,7 @@ type Server struct {
 	insert    func(context.Context, segdb.Segment) (segdb.UpdateStats, error)
 	remove    func(context.Context, segdb.Segment) (bool, segdb.UpdateStats, error)
 	compacter Compacter
+	staller   compactStaller
 	// maxBody bounds a request body, so MaxBatch limits what is decoded
 	// into memory and not only what is run.
 	maxBody int64
@@ -255,6 +268,7 @@ func New(ix Index, st *segdb.Store, cfg Config) *Server {
 	if u := cfg.Updater; u != nil {
 		s.wgate = NewGate(cfg.MaxInflightUpdates)
 		s.compacter, _ = u.(Compacter)
+		s.staller, _ = u.(compactStaller)
 		// A context-aware updater threads the trace through shard routing,
 		// apply and WAL commit; anything else runs untraced (the request's
 		// root span still measures it).

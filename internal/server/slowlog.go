@@ -17,17 +17,20 @@ import (
 // server was shedding or draining around it (a slow request during drain
 // or heavy shedding is a different diagnosis than one in calm traffic).
 type SlowEntry struct {
-	Time         time.Time `json:"time"`
-	Endpoint     string    `json:"endpoint"`
-	Query        string    `json:"query"` // compact shape, e.g. "x=3.2 y=[0,5]", "batch[128]" or "insert #7"
-	Status       string    `json:"status"`
-	ElapsedMS    float64   `json:"elapsed_ms"`
-	PagesRead    int64     `json:"pages_read"`
-	PoolHits     int64     `json:"pool_hits"`
-	PagesWritten int64     `json:"pages_written,omitempty"`
-	Answers      int       `json:"answers"`
-	Inflight     int       `json:"inflight"`
-	Draining     bool      `json:"draining,omitempty"`
+	Time      time.Time `json:"time"`
+	Endpoint  string    `json:"endpoint"`
+	Query     string    `json:"query"` // compact shape, e.g. "x=3.2 y=[0,5]", "batch[128]" or "insert #7"
+	Status    string    `json:"status"`
+	ElapsedMS float64   `json:"elapsed_ms"`
+	// StallMS is set on compact entries: the part of ElapsedMS the
+	// compaction held the update lock, i.e. what writers waited for.
+	StallMS      float64 `json:"stall_ms,omitempty"`
+	PagesRead    int64   `json:"pages_read"`
+	PoolHits     int64   `json:"pool_hits"`
+	PagesWritten int64   `json:"pages_written,omitempty"`
+	Answers      int     `json:"answers"`
+	Inflight     int     `json:"inflight"`
+	Draining     bool    `json:"draining,omitempty"`
 	// TraceID links the entry to its request's trace: when the request was
 	// traced (sample rate > 0), /tracez?all=1 or the trace JSONL sink can
 	// be joined on it for the full span tree. Slow traces are tail-kept, so

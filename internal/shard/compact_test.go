@@ -1,6 +1,10 @@
 package shard
 
 import (
+	"errors"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +12,8 @@ import (
 	"segdb"
 	"segdb/internal/faultdev"
 	"segdb/internal/pager"
+	"segdb/internal/wal"
+	"segdb/internal/workload"
 )
 
 // applyOp routes one shardOp into the store, failing the test on error.
@@ -297,5 +303,213 @@ func TestShardAutoCompactDifferential(t *testing.T) {
 	}
 	if total != int64(len(ops)) {
 		t.Fatalf("ungoverned WALs hold %d records, want the full %d-op workload", total, len(ops))
+	}
+}
+
+// TestShardCrashMatrixCompactCarry is the sharded entry for a compaction
+// with a non-empty carry, on a K = 4 store: while slab 1's checkpoint is
+// being built off its update lock, a tap on its checkpoint device
+// commits slab-1 writes through the Store — enough to force an off-lock
+// catch-up round, then a few more from inside that round for the publish
+// to apply under the lock. The slab is killed at every checkpoint-device
+// operation and at every operation of its WAL from the mark to the
+// rotation. The rebooted store must open without ErrPartial and hold
+// every other slab's writes plus exactly slab 1's acknowledged prefix,
+// each once.
+func TestShardCrashMatrixCompactCarry(t *testing.T) {
+	const k4 = 4
+	const first, second = 17, 3 // more than DurableIndex's under-lock tail of 16, then a few
+	segs := workload.Grid(rand.New(rand.NewSource(901)), 10, 8, 0.9, 0.2)
+	cuts, err := ChooseCuts(segs, k4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []shardOp
+	for i, s := range segs {
+		ops = append(ops, shardOp{seg: s})
+		if i%4 == 3 {
+			ops = append(ops, shardOp{del: true, seg: segs[i-1]})
+		}
+	}
+	owners := make([]int, len(ops))
+	var mine []int // indexes of the victim's ops
+	for i, op := range ops {
+		owners[i] = slabOf(cuts, op.seg.MinX())
+		if owners[i] == victim {
+			mine = append(mine, i)
+		}
+	}
+	if len(mine) < first+second+8 {
+		t.Fatalf("workload routes only %d ops to slab %d", len(mine), victim)
+	}
+	carried := mine[len(mine)-first-second:]
+	inCarry := make(map[int]bool, len(carried))
+	for _, i := range carried {
+		inCarry[i] = true
+	}
+
+	type life struct {
+		acked  int // victim ops acknowledged, a prefix of mine
+		fired  int
+		walAt  int64
+		walOps int64
+		dev    *faultdev.Device
+		err    error
+		wals   []*wal.FaultFile
+	}
+	config := func(wals []*wal.FaultFile, dev func(pager.Device) pager.Device) Config {
+		return Config{
+			Shards:  k4,
+			Cuts:    cuts,
+			Durable: segdb.DurableOptions{Build: segdb.Options{B: 16}},
+			PerShard: func(k int, dopt *segdb.DurableOptions) {
+				dopt.WALFile = wals[k]
+				if k == victim {
+					dopt.CheckpointDevice = dev
+				}
+			},
+		}
+	}
+	// Every life starts from one template: the store with everything but
+	// the carried ops applied, as its files plus its WAL images.
+	tmplDir := t.TempDir()
+	tmplWALs := make([]*wal.FaultFile, k4)
+	for i := range tmplWALs {
+		tmplWALs[i] = wal.NewFaultFile(0)
+	}
+	tmpl, err := Create(tmplDir, config(tmplWALs, nil), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range ops {
+		if !inCarry[i] {
+			applyOp(t, tmpl, i, op)
+		}
+	}
+	if err := tmpl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(tmplDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	run := func(dir string, seed, devCrash, walCrash int64) life {
+		t.Helper()
+		for _, e := range entries {
+			raw, err := os.ReadFile(filepath.Join(tmplDir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, e.Name()), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l := life{wals: rebootWALs(seed, tmplWALs), acked: len(mine) - len(carried)}
+		var s *Store
+		failed := false
+		commit := func(n int) {
+			l.fired++
+			for i := 0; i < n && !failed; i++ {
+				op := ops[mine[l.acked]]
+				var err error
+				if op.del {
+					_, _, err = s.Delete(op.seg)
+				} else {
+					_, err = s.Insert(op.seg)
+				}
+				if err != nil {
+					failed = true
+					return
+				}
+				l.acked++
+			}
+		}
+		s, err := Open(dir, config(l.wals, func(dev pager.Device) pager.Device {
+			l.dev = faultdev.New(dev, devCrash)
+			if devCrash >= 0 {
+				l.dev.TornWrites(0.5)
+				l.dev.CrashAt(devCrash)
+			}
+			return &faultdev.Tap{Device: l.dev, BeforeWrite: func(write, syncs int) {
+				switch {
+				case l.fired == 0 && write == 1:
+					commit(first)
+				case l.fired == 1 && syncs > 0 && !failed:
+					commit(second) // first write of the off-lock round
+				}
+			}}
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		l.walAt = l.wals[victim].Ops()
+		if walCrash >= 0 {
+			l.wals[victim].TornWrites(0.7)
+			l.wals[victim].CrashAt(l.walAt + walCrash)
+		}
+		// Only the victim compacts: the other slabs' rotations are the
+		// business of TestShardCrashMatrixCompactConcurrent.
+		l.err = s.Shard(victim).Compact()
+		l.walOps = l.wals[victim].Ops()
+		return l
+	}
+	recovered := func(tag, dir string, l life) {
+		t.Helper()
+		s, err := Open(dir, config(rebootWALs(1, l.wals), nil))
+		if err != nil {
+			t.Fatalf("%s: recovery open: %v", tag, err)
+		}
+		defer s.Close()
+		got, err := s.Collect()
+		if err != nil {
+			t.Fatalf("%s: collect: %v", tag, err)
+		}
+		ids := sortedIDs(got)
+		for i := 1; i < len(ids); i++ {
+			if ids[i] == ids[i-1] {
+				t.Fatalf("%s: segment %d recovered twice", tag, ids[i])
+			}
+		}
+		if want := applyShardOps(ops, owners, l.acked); !sameIDSet(got, want) {
+			t.Fatalf("%s: recovered %d segments, want %d (slab %d acknowledged %d of %d ops)",
+				tag, len(got), len(want), victim, l.acked, len(mine))
+		}
+		if err := Verify(dir); err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+	}
+
+	twinDir := t.TempDir()
+	twin := run(twinDir, 0, -1, -1)
+	if twin.err != nil {
+		t.Fatal(twin.err)
+	}
+	if twin.fired != 2 || twin.acked != len(mine) {
+		t.Fatalf("twin: %d tap commits, %d of %d slab ops acknowledged; the matrix would carry nothing", twin.fired, twin.acked, len(mine))
+	}
+	recovered("twin", twinDir, twin)
+	devOps, walOps := twin.dev.Ops(), twin.walOps-twin.walAt
+	t.Logf("killing slab %d at each of %d checkpoint-device and %d WAL operations", victim, devOps, walOps)
+	if devOps < 10 || walOps < 2*(first+second) {
+		t.Fatalf("suspiciously few operations to kill (device %d, WAL %d)", devOps, walOps)
+	}
+
+	for k := int64(0); k < devOps; k++ {
+		dir := t.TempDir()
+		l := run(dir, k, k, -1)
+		if !errors.Is(l.err, faultdev.ErrCrashed) {
+			t.Fatalf("crash at checkpoint device op %d: Compact returned %v, want ErrCrashed", k, l.err)
+		}
+		recovered("crash at checkpoint device op", dir, l)
+	}
+	for k := int64(0); k < walOps; k++ {
+		dir := t.TempDir()
+		l := run(dir, k, -1, k)
+		if l.err == nil {
+			t.Fatalf("crash at WAL op %d of the compaction: Compact reported success", k)
+		}
+		recovered("crash at WAL op", dir, l)
 	}
 }

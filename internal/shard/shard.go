@@ -51,6 +51,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"time"
 
 	"segdb"
 	"segdb/internal/pager"
@@ -610,6 +611,17 @@ func (s *Store) Compact() error {
 	}
 	wg.Wait()
 	return errors.Join(errs...)
+}
+
+// LastCompactStall reports the longest time any slab's most recent
+// compaction held that slab's update lock: the worst stall a writer
+// could have met, whichever slab it routed to.
+func (s *Store) LastCompactStall() time.Duration {
+	var worst time.Duration
+	for _, d := range s.shards {
+		worst = max(worst, d.LastCompactStall())
+	}
+	return worst
 }
 
 // CompactUnits exposes every slab as its own segdb.CompactUnit so the

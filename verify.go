@@ -24,6 +24,11 @@ import (
 // page. For v3 files this detects any single flipped byte anywhere in
 // the file; v2 files predate checksums, so only structural and catalog
 // damage is detectable.
+//
+// Verification only reads, and only path: it is safe on the checkpoint
+// of a running daemon. In particular it leaves <path>.tmp alone — that
+// file is the daemon's in-flight compaction as often as it is a crashed
+// build's orphan, and only the owner of path can tell which.
 func VerifyIndexFile(path string) error {
 	_, pageSize, version, err := probeFile(path)
 	if err != nil {
@@ -34,7 +39,7 @@ func VerifyIndexFile(path string) error {
 			return err
 		}
 	}
-	st, ix, err := OpenIndexFile(path, 0, 0)
+	st, ix, err := openIndexFile(path, 0, 0)
 	if err != nil {
 		return err
 	}
