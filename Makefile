@@ -78,9 +78,10 @@ trace-smoke:
 # shard matrices kill one shard's WAL/checkpoint while the others commit.
 # The ...Carry matrices (DurableCrashMatrixCheckpointCarry,
 # ShardCrashMatrixCompactCarry) commit writes from inside the off-lock
-# checkpoint build, so the compaction's carried tail is not empty when
-# the device or the log dies.
+# page copy, so the publish has changed pages to write under the lock
+# when the device or the log dies. The ReplFollowerCrash matrices kill a
+# follower's local log and its tailing-triggered checkpoints.
 wal-crash:
-	$(GO) test -race -run 'DurableCrash|DurableCheckpoint|WALCrash|TornTail|ShardCrash' . ./internal/wal ./internal/shard
+	$(GO) test -race -run 'DurableCrash|DurableCheckpoint|WALCrash|TornTail|ShardCrash|ReplFollowerCrash' . ./internal/wal ./internal/shard ./internal/repl
 
 ci: vet build test race wal-crash serve-smoke repl-smoke shard-smoke trace-smoke bench-test

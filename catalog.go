@@ -310,20 +310,11 @@ func openProbedStore(path string, pageSize, version, cachePages int) (*Store, er
 // indexes built with a derived block capacity; a non-zero B must match
 // the build-time capacity. The file's catalog version selects the device
 // stack: v3 files read through checksum verification, v2 files (built
-// before page checksums) open as-is. As a recovery pass, an orphaned
-// <path>.tmp left by a build or compact that crashed before its commit
-// rename is removed — so this is the open of a process that owns the
-// file; VerifyIndexFile inspects a file another process may be
-// checkpointing and opens without the pass. On any error after the
-// store opens, the store is closed.
+// before page checksums) open as-is. It touches nothing but path: a
+// <path>.tmp may be another process's checkpoint in flight, so sweeping
+// an orphaned one is left to the file's owner (RecoverIndexFile). On any
+// error after the store opens, the store is closed.
 func OpenIndexFile(path string, B, cachePages int) (*Store, Index, error) {
-	RecoverIndexFile(path)
-	return openIndexFile(path, B, cachePages)
-}
-
-// openIndexFile is OpenIndexFile without the recovery pass: it touches
-// nothing but path itself.
-func openIndexFile(path string, B, cachePages int) (*Store, Index, error) {
 	b, pageSize, version, err := probeFile(path)
 	if err != nil {
 		return nil, nil, err
@@ -347,7 +338,9 @@ func openIndexFile(path string, B, cachePages int) (*Store, Index, error) {
 // commit protocol: a surviving <path>.tmp means a Build/Compact crashed
 // before its rename, so the temporary is incomplete by definition and is
 // deleted. The committed file at path, if any, is never touched. It
-// reports whether an orphan was removed.
+// reports whether an orphan was removed. Only the process that owns path
+// may call it — OpenDurableIndex does — since to anyone else the .tmp
+// may be a compaction still in flight.
 func RecoverIndexFile(path string) bool {
 	tmp := shadowPath(path)
 	if _, err := os.Stat(tmp); err != nil {

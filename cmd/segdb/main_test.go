@@ -5,7 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"segdb"
+	"segdb/internal/faultdev"
+	"segdb/internal/pager"
 )
 
 // TestRun drives the CLI in process: the exit status and where each kind
@@ -71,5 +76,61 @@ func TestRun(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReadersLeaveInFlightCheckpoint: stats, query and verify may run
+// against the checkpoint of a live durable index (what `segdbd -wal`
+// serves). With that index's compaction paused mid-copy, none of them
+// may remove its <db>.tmp shadow, and the compaction then commits.
+func TestReadersLeaveInFlightCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	db := filepath.Join(dir, "rw.db")
+	entered, release := make(chan struct{}), make(chan struct{})
+	var armed atomic.Bool // pause the next compaction, not the first-boot build
+	d, err := segdb.OpenDurableIndex(db, filepath.Join(dir, "rw.wal"), segdb.DurableOptions{
+		Build: segdb.Options{B: 16},
+		CheckpointDevice: func(dev pager.Device) pager.Device {
+			return &faultdev.Tap{Device: dev, BeforeWrite: func(write, _ int) {
+				if write == 2 && armed.CompareAndSwap(true, false) {
+					close(entered)
+					<-release
+				}
+			}}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for i := 0; i < 200; i++ {
+		x := float64(10 * i)
+		if _, err := d.Insert(segdb.Segment{ID: uint64(i + 1), A: segdb.Point{X: x, Y: x}, B: segdb.Point{X: x + 5, Y: x}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	armed.Store(true)
+	compacted := make(chan error, 1)
+	go func() { compacted <- d.Compact() }()
+	<-entered
+	for _, args := range [][]string{
+		{"stats", "-db", db},
+		{"query", "-db", db, "-x", "12"},
+		{"verify", "-db", db},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("run(%q) beside the compaction = %d\nstderr: %s", args, code, &stderr)
+		}
+		if _, err := os.Stat(db + ".tmp"); err != nil {
+			t.Fatalf("%s removed the in-flight checkpoint: %v", args[0], err)
+		}
+	}
+	close(release)
+	if err := <-compacted; err != nil {
+		t.Fatalf("compaction after the readers: %v", err)
+	}
+	if records, _, _ := d.WALStats(); records != 0 {
+		t.Fatalf("rotated log holds %d records", records)
 	}
 }

@@ -125,9 +125,9 @@ func openLeader(cfg config) (*engine, error) {
 		updater: dix,
 		leader:  leader,
 		units:   []segdb.CompactUnit{dix},
-		// A graceful stop checkpoints: the live state lands in the index
-		// file through the shadow commit and the log rotates empty, so the
-		// next open replays nothing.
+		// A graceful stop checkpoints: the live pages are copied into the
+		// index file through the shadow commit and the log rotates empty,
+		// so the next open replays nothing.
 		shutdown: func() error {
 			return errors.Join(step("checkpoint", dix.Compact()), step("close", dix.Close()))
 		},

@@ -5,14 +5,14 @@ import (
 	"os"
 
 	"segdb/internal/pager"
-	"segdb/internal/wal"
 )
 
 // Index files are mutated only through a shadow-file commit: the new
 // index is built at <path>.tmp, the file is fsynced, renamed over path,
 // and the directory is fsynced. A crash at any point leaves either the
 // old committed file or the new one — never a hybrid — and the orphaned
-// .tmp is swept by the recovery pass in OpenIndexFile. New files are
+// .tmp is swept by the next build, or by the recovery pass of the
+// file's owner (RecoverIndexFile, run by OpenDurableIndex). New files are
 // written in catalog v3: every page carries a CRC32C trailer verified on
 // read, so torn writes and bit-rot that a lying disk let through the
 // protocol are still detected as ErrCorrupt instead of decoded into
@@ -41,36 +41,49 @@ func BuildIndexFile(path string, opt Options, sol int, segs []Segment) error {
 }
 
 func buildIndexFile(path string, opt Options, sol int, segs []Segment, wrap deviceWrapper) error {
-	sh, err := buildShadow(path, opt, sol, segs, wrap)
+	if opt.B == 0 {
+		opt.B = 32
+	}
+	sh, err := openShadow(path, PageSizeFor(opt.B), wrap)
 	if err != nil {
+		return err
+	}
+	switch sol {
+	case 1:
+		_, err = CreateSolution1(sh.st, opt, segs)
+	case 2:
+		_, err = CreateSolution2(sh.st, opt, segs)
+	default:
+		err = fmt.Errorf("segdb: build %s: unknown solution %d", path, sol)
+	}
+	if err == nil {
+		err = sh.sync()
+	}
+	if err != nil {
+		sh.abort()
 		return err
 	}
 	return sh.commit()
 }
 
-// shadow is a complete, fsynced index at <path>.tmp that has not been
-// renamed over path yet: the protocol between its two commit points.
-// DurableIndex.Compact is the one caller that acts in between — it
-// upserts the records that reached the log while the build ran.
+// shadow is an index being written at <path>.tmp, not yet renamed over
+// path. A build fills it with CreateSolution1/2; DurableIndex.Compact
+// copies the live pages into it instead (see compact).
 type shadow struct {
-	path string // the commit target; the build lives at shadowPath(path)
+	path string // the commit target; the shadow lives at shadowPath(path)
 	st   *Store
-	ix   *SyncIndex
 }
 
-// buildShadow is the build half of the shadow-file commit: it builds the
-// index in <path>.tmp and fsyncs it. On error nothing is left behind.
-func buildShadow(path string, opt Options, sol int, segs []Segment, wrap deviceWrapper) (_ *shadow, err error) {
-	if opt.B == 0 {
-		opt.B = 32
-	}
+// openShadow opens an empty checksummed (catalog v3) store at
+// <path>.tmp with the given logical page size, wrap interposed between
+// the checksum layer and the file.
+func openShadow(path string, pageSize int, wrap deviceWrapper) (*shadow, error) {
 	tmp := shadowPath(path)
 	// A surviving .tmp is a crashed earlier build: incomplete by
 	// definition, safe to discard.
 	os.Remove(tmp)
 
-	logical := PageSizeFor(opt.B)
-	fdev, err := pager.OpenFileDevice(tmp, pager.PhysicalPageSize(logical))
+	fdev, err := pager.OpenFileDevice(tmp, pager.PhysicalPageSize(pageSize))
 	if err != nil {
 		return nil, fmt.Errorf("segdb: build %s: %w", path, err)
 	}
@@ -78,56 +91,19 @@ func buildShadow(path string, opt Options, sol int, segs []Segment, wrap deviceW
 	if wrap != nil {
 		dev = wrap(dev)
 	}
-	st, err := pager.Open(pager.NewChecksumDevice(dev, logical), logical, buildCachePages)
+	st, err := pager.Open(pager.NewChecksumDevice(dev, pageSize), pageSize, buildCachePages)
 	if err != nil {
 		dev.Close()
 		os.Remove(tmp)
 		return nil, fmt.Errorf("segdb: build %s: %w", path, err)
 	}
-	sh := &shadow{path: path, st: st}
-	defer func() {
-		if err != nil {
-			sh.abort()
-		}
-	}()
-
-	var ix Index
-	switch sol {
-	case 1:
-		ix, err = CreateSolution1(st, opt, segs)
-	case 2:
-		ix, err = CreateSolution2(st, opt, segs)
-	default:
-		err = fmt.Errorf("segdb: build %s: unknown solution %d", path, sol)
-	}
-	if err != nil {
-		return nil, err
-	}
-	sh.ix = Synchronized(ix)
-	// Commit point 1: everything (data pages + catalog) reaches the
-	// platter before the rename can expose the file under path.
-	if err = st.Sync(); err != nil {
-		return nil, fmt.Errorf("segdb: build %s: sync: %w", path, err)
-	}
-	return sh, nil
+	return &shadow{path: path, st: st}, nil
 }
 
-// upsert applies logged records to the shadow index in log order, with
-// the rule the live index and recovery replay use (SyncIndex.apply), and
-// re-establishes commit point 1: catalog saved, file fsynced. The
-// caller aborts the shadow on error.
-func (sh *shadow) upsert(recs []wal.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	for _, r := range recs {
-		if _, _, err := sh.ix.apply(r); err != nil {
-			return fmt.Errorf("segdb: build %s: catch up segment %d: %w", sh.path, r.Seg.ID, err)
-		}
-	}
-	if err := Save(sh.st, sh.ix.ix); err != nil {
-		return fmt.Errorf("segdb: build %s: %w", sh.path, err)
-	}
+// sync is commit point 1: everything written so far (data pages and
+// catalog) reaches the platter before the rename can expose the file
+// under path.
+func (sh *shadow) sync() error {
 	if err := sh.st.Sync(); err != nil {
 		return fmt.Errorf("segdb: build %s: sync: %w", sh.path, err)
 	}

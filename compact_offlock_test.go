@@ -15,10 +15,10 @@ import (
 	"segdb/internal/workload"
 )
 
-// Compaction builds its checkpoint beside the writers (see compact). The
-// tests here hold a compaction at a fixed page write of that build, or
-// commit writes from inside it, which the old whole-build lock made
-// impossible: every earlier compaction test has an empty carry.
+// Compaction copies the live pages into its checkpoint beside the
+// writers (see compact). The tests here hold a compaction at a fixed
+// page write of that copy, or commit writes from inside it, so the
+// publish has changed pages to write under the lock.
 
 // applyDurableOp runs one workload op through the durable write path.
 func applyDurableOp(d *DurableIndex, op durableOp) error {
@@ -44,12 +44,12 @@ func uniqueIDs(t *testing.T, tag string, segs []Segment) {
 }
 
 // TestDurableCompactBuildsBesideWriters pauses a compaction in the
-// middle of its shadow build and requires everything the old design
-// blocked or broke there: writes are acknowledged, VerifyIndexFile on
-// the checkpoint passes and leaves the in-flight shadow alone (it used
-// to sweep it as an orphan, failing the rotation at its rename), and the
-// released compaction commits a checkpoint holding the writes it
-// carried. The lock-held time it reports excludes the pause.
+// middle of its page copy and requires: writes are acknowledged;
+// OpenIndexFile and VerifyIndexFile on the checkpoint succeed and leave
+// the in-flight shadow alone (a reader that swept it as an orphan would
+// fail the rotation at its rename); and the released compaction commits
+// a checkpoint holding the writes made during the copy. The lock-held
+// time it reports excludes the pause.
 func TestDurableCompactBuildsBesideWriters(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ix.db")
 	ops := durableOps(601, 8, 8)
@@ -94,28 +94,33 @@ func TestDurableCompactBuildsBesideWriters(t *testing.T) {
 	select {
 	case err := <-wrote:
 		if err != nil {
-			t.Fatalf("write beside the build: %v", err)
+			t.Fatalf("write beside the copy: %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("writes blocked behind a compaction that is only building")
+		t.Fatal("writes blocked behind a compaction that is only copying")
 	}
+	st, _, err := OpenIndexFile(path, 0, 0)
+	if err != nil {
+		t.Fatalf("open beside the copy: %v", err)
+	}
+	st.Close()
 	if err := VerifyIndexFile(path); err != nil {
-		t.Fatalf("verify beside the build: %v", err)
+		t.Fatalf("verify beside the copy: %v", err)
 	}
 	if _, err := os.Stat(shadowPath(path)); err != nil {
-		t.Fatalf("verification removed the in-flight shadow: %v", err)
+		t.Fatalf("a reader removed the in-flight shadow: %v", err)
 	}
 	time.Sleep(50 * time.Millisecond)
 	pause := time.Since(paused)
 	close(release)
 	if err := <-compacted; err != nil {
-		t.Fatalf("compaction after verify + writes beside it: %v", err)
+		t.Fatalf("compaction after open + verify + writes beside it: %v", err)
 	}
 	if stall := d.LastCompactStall(); stall <= 0 || stall >= pause {
-		t.Fatalf("LastCompactStall = %v; want > 0 and well under the %v the build was paused", stall, pause)
+		t.Fatalf("LastCompactStall = %v; want > 0 and well under the %v the copy was paused", stall, pause)
 	}
 	if records, _, _ := d.WALStats(); records != 0 {
-		t.Fatalf("rotated log holds %d records; the carried writes belong to the checkpoint", records)
+		t.Fatalf("rotated log holds %d records; the writes made during the copy belong to the checkpoint", records)
 	}
 	want := applyOps(ops, len(ops))
 	checkLive(t, d, want)
@@ -127,71 +132,132 @@ func TestDurableCompactBuildsBesideWriters(t *testing.T) {
 	checkCleanIndex(t, path, want, matrixQueries(602, want))
 }
 
-// TestDurableCompactEmptyCarryIsPlainBuild: with no writer beside it, a
-// compaction writes exactly the file BuildIndexFile writes for the live
-// segments in Collect order — what it wrote before the build moved off
-// the lock, so checkpoints stay byte-comparable across the change.
-func TestDurableCompactEmptyCarryIsPlainBuild(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ix.db")
-	d, err := openDurableIndex(path, DurableOptions{Build: Options{B: 16}}, wal.NewFaultFile(1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	for _, op := range durableOps(611, 8, 8) {
-		if err := applyDurableOp(d, op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := d.Index().Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := filepath.Join(dir, "plain.db")
-	if err := BuildIndexFile(plain, d.opt, 1, segs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("checkpoint (%d bytes) differs from a plain build of the live segments (%d bytes)", len(got), len(want))
+// TestDurableCompactCheckpointIsLivePages: at the rename the checkpoint
+// is the live store's pages — every page past the catalog reads, through
+// the checksum layer, exactly as the live page did at publish, and the
+// catalog records the live root, length and allocator high-water mark —
+// whether or not writes committed while the pages were being copied. The
+// file verifies, and it reopens into the index the live one and a
+// FilterHits model agree on.
+func TestDurableCompactCheckpointIsLivePages(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		during int // ops committed from inside the copy
+	}{{"quiet", 0}, {"writers", 12}} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ix.db")
+			ops := durableOps(611, 8, 8)
+			base := len(ops) - tc.during
+			f := wal.NewFaultFile(1)
+			d, err := openDurableIndex(path, DurableOptions{Build: Options{B: 16}}, f, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			for _, op := range ops[:base] {
+				if err := applyDurableOp(d, op); err != nil {
+					t.Fatal(err)
+				}
+			}
+			published := 0
+			d.wrap = func(dev pager.Device) pager.Device {
+				return &faultdev.Tap{Device: dev, BeforeWrite: func(write, syncs int) {
+					if syncs > 0 {
+						published++
+					}
+					if write == 2 {
+						for _, op := range ops[base:] {
+							if err := applyDurableOp(d, op); err != nil {
+								t.Errorf("write during the copy: %v", err)
+							}
+						}
+					}
+				}}
+			}
+			if err := d.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			// The publish writes the catalog, plus the pages the writes
+			// during the copy changed.
+			if tc.during == 0 && published != 1 || tc.during > 0 && published < 2 {
+				t.Fatalf("publish wrote %d pages with %d ops committed during the copy", published, tc.during)
+			}
+
+			ps := d.mem.PageSize()
+			fdev, err := pager.OpenFileDevice(path, pager.PhysicalPageSize(ps))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ckpt := pager.NewChecksumDevice(fdev, ps)
+			live, got := make([]byte, ps), make([]byte, ps)
+			n := d.memdev.NumPages()
+			for i := uint32(1); i < uint32(n); i++ {
+				if d.memdev.ReadPage(i, live) != nil {
+					continue // allocated, never written
+				}
+				if err := ckpt.ReadPage(i, got); err != nil {
+					t.Fatalf("checkpoint page %d: %v", i+1, err)
+				}
+				if !bytes.Equal(got, live) {
+					t.Fatalf("checkpoint page %d differs from the live page", i+1)
+				}
+			}
+			ckpt.Close()
+			if fi, err := os.Stat(path); err != nil || fi.Size() != int64(n*pager.PhysicalPageSize(ps)) {
+				t.Fatalf("checkpoint is %v bytes (%v), want the live store's %d pages", fi.Size(), err, n)
+			}
+
+			st, ix, err := OpenIndexFile(path, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, have := d.live.ix.(solution1), ix.(solution1)
+			if have.Root() != want.Root() || have.Len() != want.Len() || st.NextPage() != d.mem.NextPage() {
+				t.Fatalf("catalog records root %d, len %d, next page %d; live has %d, %d, %d",
+					have.Root(), have.Len(), st.NextPage(), want.Root(), want.Len(), d.mem.NextPage())
+			}
+			st.Close()
+			if err := VerifyIndexFile(path); err != nil {
+				t.Fatal(err)
+			}
+
+			model := applyOps(ops, len(ops))
+			checkLive(t, d, model)
+			checkCleanIndex(t, path, model, matrixQueries(612, model))
+			re, err := openDurableIndex(path, DurableOptions{}, wal.NewFaultFileFrom(2, f.DurableImage()), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			checkLive(t, re, model)
+		})
 	}
 }
 
-// TestDurableCrashMatrixCheckpointCarry is the checkpoint matrix with a
-// non-empty carry. A tap on the checkpoint device commits writes from
-// inside the off-lock build — more than catchupTail at a fixed page
-// write of the build, so an off-lock catch-up round runs, and a few more
-// from inside that round, so the publish has a tail to apply under the
-// lock. The run is then killed at every checkpoint-device operation and
-// at every WAL operation from the mark to the rotation. Whatever dies,
-// recovery must hold exactly the acknowledged writes, each once.
+// TestDurableCrashMatrixCheckpointCarry is the checkpoint matrix with
+// writers beside the copy. A tap on the checkpoint device commits writes
+// from inside the off-lock page copy, at a fixed page write, so the
+// publish has changed pages to write under the lock. The run is then
+// killed at every checkpoint-device operation and at every WAL
+// operation from the mark to the rotation. Whatever dies, recovery must
+// hold exactly the acknowledged writes, each once.
 func TestDurableCrashMatrixCheckpointCarry(t *testing.T) {
 	dopt := DurableOptions{Build: Options{B: 16}}
 	ops := durableOps(701, 5, 5)
-	const first, second = catchupTail + 1, 3
-	base := len(ops) - first - second
+	const during = 20
+	base := len(ops) - during
 
 	type life struct {
 		acked  int   // ops acknowledged, always a prefix of ops
-		fired  int   // how many of the tap's two commits ran
+		fired  int   // how many times the tap committed
+		delta  int   // page writes of the publish
 		walAt  int64 // WAL operations before Compact
 		walOps int64 // WAL operations in all
 		dev    *faultdev.Device
 		err    error // Compact's
 	}
 	// run applies the base ops, then compacts with the tap committing
-	// beside the build. devCrash < 0 and walCrash < 0 mean healthy;
+	// beside the copy. devCrash < 0 and walCrash < 0 mean healthy;
 	// walCrash counts from the start of Compact.
 	run := func(path string, f *wal.FaultFile, devCrash, walCrash int64) life {
 		t.Helper()
@@ -225,15 +291,10 @@ func TestDurableCrashMatrixCheckpointCarry(t *testing.T) {
 				l.dev.CrashAt(devCrash)
 			}
 			return &faultdev.Tap{Device: l.dev, BeforeWrite: func(write, syncs int) {
-				switch {
-				case l.fired == 0 && write == 3:
-					commit(first)
-				case l.fired == 1 && syncs > 0 && !failed:
-					// The first page write after the build's fsync: the
-					// off-lock round the first commit forced. (Had that
-					// commit failed short, this write could be the
-					// publish's, under the lock Insert needs.)
-					commit(second)
+				if syncs > 0 {
+					l.delta++
+				} else if write == 3 {
+					commit(during)
 				}
 			}}
 		}
@@ -277,13 +338,14 @@ func TestDurableCrashMatrixCheckpointCarry(t *testing.T) {
 	if twin.err != nil {
 		t.Fatal(twin.err)
 	}
-	if twin.fired != 2 || twin.acked != len(ops) {
-		t.Fatalf("twin: %d tap commits, %d of %d ops acknowledged; the matrix would carry nothing", twin.fired, twin.acked, len(ops))
+	if twin.fired != 1 || twin.acked != len(ops) || twin.delta < 2 {
+		t.Fatalf("twin: %d tap commits, %d of %d ops acknowledged, %d pages published; the publish would write no changed page",
+			twin.fired, twin.acked, len(ops), twin.delta)
 	}
 	recovered("twin", twinPath, twinWAL, twin)
 	devOps, walOps := twin.dev.Ops(), twin.walOps-twin.walAt
 	t.Logf("killing at each of %d checkpoint-device and %d WAL operations", devOps, walOps)
-	if devOps < 10 || walOps < 2*(first+second) {
+	if devOps < 10 || walOps < 2*during {
 		t.Fatalf("suspiciously few operations to kill (device %d, WAL %d)", devOps, walOps)
 	}
 
@@ -307,9 +369,11 @@ func TestDurableCrashMatrixCheckpointCarry(t *testing.T) {
 	}
 }
 
-// TestDurableCompactOutrunByWriters: writers that refill the carry past
-// catchupTail in every off-lock round must not starve the rotation.
-// After maxCatchupRounds the publish takes what the last round left.
+// TestDurableCompactOutrunByWriters: a writer that commits ahead of
+// every page the copy writes still gets its rotation. Nothing is
+// replayed into the checkpoint, so there is no round for the writer to
+// outrun: the publish writes the pages it changed, the log rotates
+// empty, and the checkpoint equals the live state.
 func TestDurableCompactOutrunByWriters(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ix.db")
 	segs := workload.Grid(rand.New(rand.NewSource(621)), 24, 24, 0.9, 0.2)
@@ -320,23 +384,21 @@ func TestDurableCompactOutrunByWriters(t *testing.T) {
 	}
 	defer d.Close()
 
-	next, rounds, lastSync := 0, 0, 0
-	burst := func() {
-		for i := 0; i <= catchupTail; i++ {
-			if _, err := d.Insert(segs[next]); err != nil {
-				t.Errorf("insert beside the build: %v", err)
-			}
-			next++
+	next := 0
+	for ; next < len(segs)/2; next++ {
+		if _, err := d.Insert(segs[next]); err != nil {
+			t.Fatal(err)
 		}
 	}
+	copied := 0
 	d.wrap = func(dev pager.Device) pager.Device {
-		return &faultdev.Tap{Device: dev, BeforeWrite: func(write, syncs int) {
-			// Once in the build, then once per catch-up round (a round
-			// ends in a fsync) for as long as rounds stay off-lock.
-			if (write == 0 || syncs > lastSync) && rounds <= maxCatchupRounds {
-				lastSync = syncs
-				rounds++
-				burst()
+		return &faultdev.Tap{Device: dev, BeforeWrite: func(_, syncs int) {
+			if syncs == 0 && next < len(segs) {
+				copied++
+				if _, err := d.Insert(segs[next]); err != nil {
+					t.Errorf("insert beside the copy: %v", err)
+				}
+				next++
 			}
 		}}
 	}
@@ -346,8 +408,8 @@ func TestDurableCompactOutrunByWriters(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	if rounds != maxCatchupRounds+1 {
-		t.Fatalf("tap refilled the carry %d times, want the build + %d rounds", rounds, maxCatchupRounds)
+	if copied < 10 {
+		t.Fatalf("the writer committed beside only %d page writes", copied)
 	}
 	if records, _, _ := d.WALStats(); records != 0 {
 		t.Fatalf("rotated log holds %d records", records)

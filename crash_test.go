@@ -307,25 +307,35 @@ func TestCrashMatrixTornCommit(t *testing.T) {
 }
 
 // TestRecoverIndexFileSweepsOrphan: an orphaned .tmp from a crashed
-// build is removed by the recovery pass in OpenIndexFile, and the
-// committed file is untouched.
+// build is removed by the owner's recovery pass in OpenDurableIndex, and
+// the committed file is untouched. A plain OpenIndexFile, which any
+// reader may run beside the owner, leaves it alone.
 func TestRecoverIndexFileSweepsOrphan(t *testing.T) {
 	segs := workload.Grid(rand.New(rand.NewSource(61)), 5, 5, 0.9, 0.2)
-	path := filepath.Join(t.TempDir(), "ix.db")
-	if err := BuildIndexFile(path, Options{B: 16}, 2, segs); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ix.db")
+	if err := BuildIndexFile(path, Options{B: 16}, 1, segs); err != nil {
 		t.Fatal(err)
 	}
 	orphan := shadowPath(path)
 	if err := os.WriteFile(orphan, []byte("half a build"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, ix, err := OpenIndexFile(path, 0, 8)
+	st, _, err := OpenIndexFile(path, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	if ix.Len() != len(segs) {
-		t.Fatalf("Len = %d, want %d", ix.Len(), len(segs))
+	st.Close()
+	if _, err := os.Stat(orphan); err != nil {
+		t.Fatalf("a reader's OpenIndexFile swept the shadow: %v", err)
+	}
+	d, err := OpenDurableIndex(path, filepath.Join(dir, "ix.wal"), DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if d.Index().Len() != len(segs) {
+		t.Fatalf("Len = %d, want %d", d.Index().Len(), len(segs))
 	}
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Fatalf("orphaned shadow file not swept: %v", err)

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"segdb/internal/pager"
-	"segdb/internal/sol1"
 	"segdb/internal/trace"
 	"segdb/internal/wal"
 )
@@ -31,11 +30,12 @@ var ErrReplica = errors.New("segdb: read-only replica")
 // # Design
 //
 // The index file at path is never mutated in place — it changes only
-// through the shadow-file commit of BuildIndexFile, during Compact. The
-// live index instead lives on an in-memory store, rebuilt at open from
-// the checkpoint file's segments plus a replay of the WAL tail. Crash
-// safety therefore reduces to two already-proven protocols: the atomic
-// checkpoint rename and the append-only CRC-framed log (internal/wal).
+// through the shadow-file commit, during Compact, which writes the live
+// store's pages to <path>.tmp and renames it over path. The live index
+// lives on an in-memory store, rebuilt at open from the checkpoint
+// file's segments plus a replay of the WAL tail. Crash safety therefore
+// reduces to two already-proven protocols: the atomic checkpoint rename
+// and the append-only CRC-framed log (internal/wal).
 //
 // An update applies to the live index first (so a validation error never
 // reaches the log), appends one logical record, and acknowledges only
@@ -61,7 +61,6 @@ type DurableIndex struct {
 	path      string
 	epochPath string // "" = rotation epoch not persisted (injected-WAL tests)
 	replica   bool
-	opt       Options // live/checkpoint build configuration
 	wrap      deviceWrapper
 
 	// epoch counts log rotations, persisted in a sidecar next to the WAL
@@ -88,15 +87,9 @@ type DurableIndex struct {
 	log  *wal.Log
 	// memdev is the RAM device under mem, beneath any LiveDevice wrapper.
 	// The store is write-through, so between updates it holds the whole
-	// live index; compaction snapshots it instead of collecting under
-	// upMu.
+	// live index, page for page; compaction copies its snapshots into
+	// the checkpoint file.
 	memdev *pager.MemDevice
-
-	// While a compaction is past its mark (carrying), every record
-	// appended to the log is also kept in carry, in log order, for the
-	// compaction to upsert into its shadow checkpoint. Guarded by upMu.
-	carrying bool
-	carry    []wal.Record
 
 	// lastStall is how long the last compaction held upMu, in
 	// nanoseconds: the part of its run time writers waited for.
@@ -193,6 +186,10 @@ func openDurableIndex(path string, dopt DurableOptions, walFile wal.File, wrap d
 	if dopt.CachePages == 0 {
 		dopt.CachePages = 256
 	}
+	// The owner's recovery pass: a surviving <path>.tmp is a compaction
+	// or build that died before its rename. Only the owner may sweep it;
+	// to any other reader it may be this process's compaction in flight.
+	RecoverIndexFile(path)
 	if fi, err := os.Stat(path); os.IsNotExist(err) || (err == nil && fi.Size() == 0) {
 		// First boot — or a zero-length file, which is what O_CREATE
 		// leaves when a bootstrap or rotation is interrupted before the
@@ -231,7 +228,13 @@ func openDurableIndex(path string, dopt DurableOptions, walFile wal.File, wrap d
 	if err != nil {
 		return nil, fmt.Errorf("segdb: durable index %s: live store: %w", path, err)
 	}
-	liveIx, err := BuildSolution1(mem, opt, segs)
+	// Page 1 stays the catalog's, so the live pages are the checkpoint
+	// file's pages as they stand (see compact).
+	err = reserveCatalog(mem)
+	var liveIx Index
+	if err == nil {
+		liveIx, err = BuildSolution1(mem, opt, segs)
+	}
 	if err != nil {
 		mem.Close()
 		return nil, fmt.Errorf("segdb: durable index %s: rebuild live: %w", path, err)
@@ -267,7 +270,6 @@ func openDurableIndex(path string, dopt DurableOptions, walFile wal.File, wrap d
 		path:      path,
 		epochPath: dopt.epochPath,
 		replica:   dopt.Replica,
-		opt:       opt,
 		wrap:      wrap,
 		replPos:   pos,
 		live:      live,
@@ -452,16 +454,7 @@ func (d *DurableIndex) applyLogged(ctx context.Context, rec wal.Record) (had boo
 		}
 		return had, st, 0, err
 	}
-	d.carryLogged(rec)
 	return had, st, lsn, nil
-}
-
-// carryLogged hands a record the log just accepted to the compaction in
-// flight, if one is past its mark. Requires upMu.
-func (d *DurableIndex) carryLogged(rec wal.Record) {
-	if d.carrying {
-		d.carry = append(d.carry, rec)
-	}
 }
 
 // syncTraced acknowledges lsn through the group commit. On a traced ctx
@@ -496,12 +489,12 @@ func (d *DurableIndex) syncTraced(ctx context.Context, lsn int64) error {
 	return err
 }
 
-// Compact checkpoints: it rebuilds the index file from the live state
-// through the shadow-file commit (crash leaves the old checkpoint or the
-// new one, never a hybrid) and then rotates the log. The rebuild runs
+// Compact checkpoints: it writes the live index's pages to the index
+// file through the shadow-file commit (crash leaves the old checkpoint or
+// the new one, never a hybrid) and then rotates the log. The copy runs
 // beside the writers: updates and queries wait only for the mark at the
-// start and the publish at the end (see compact), a few milliseconds
-// however large the index is; LastCompactStall reports how long. A
+// start and the publish at the end (see compact), which write only the
+// pages changed during the copy; LastCompactStall reports how long. A
 // crash after the commit rename but before the rotation is benign — the
 // stale records replay as upserts over the new checkpoint.
 //
@@ -542,132 +535,117 @@ func (d *DurableIndex) LastCompactStall() time.Duration {
 	return time.Duration(d.lastStall.Load())
 }
 
-const (
-	// catchupTail is the most carried records a compaction applies to
-	// its shadow while holding upMu; with more than that pending it runs
-	// another off-lock round first.
-	catchupTail = 16
-	// maxCatchupRounds bounds the off-lock rounds. Writers that outrun
-	// the catch-up this many times in a row do not starve the rotation:
-	// the publish then applies what the last round left, a stall bounded
-	// by one round's worth of writes, never by the index.
-	maxCatchupRounds = 16
-)
-
 // compact is the checkpoint+rotation body, running with the
-// single-flight slot held. It has three phases, and nothing proportional
-// to the index runs under upMu in any of them:
+// single-flight slot held. The live store is write-through and keeps
+// page 1 for the catalog, so its RAM device holds the checkpoint file's
+// pages as they stand; compaction copies them rather than rebuilding the
+// index from its segments. It has three phases, and nothing
+// proportional to the index runs under upMu in any of them:
 //
 //  1. mark, under upMu and the live shared lock: freeze the live pages
 //     (a copy-on-write snapshot of the RAM device, no page is read or
-//     written) and start carrying every record the log accepts.
-//  2. build, beside the writers: collect the segments from the frozen
-//     pages, build and fsync the shadow checkpoint, then upsert the
-//     carried records into it in rounds, each round taking what arrived
-//     during the one before, until at most catchupTail are pending.
-//  3. publish, under upMu: upsert the pending few, rename the shadow
-//     over the checkpoint, bump the epoch, rotate the log.
+//     written).
+//  2. copy, beside the writers: write every frozen page to the shadow
+//     checkpoint and fsync it.
+//  3. publish, under upMu and the live shared lock: freeze again, write
+//     the pages whose buffers changed since the mark and the catalog of
+//     the live index, fsync, rename the shadow over the checkpoint,
+//     bump the epoch, rotate the log.
 //
-// At the rename the shadow holds the mark's state plus every record
-// logged since, in log order: it equals the live state, and the log
-// being retired adds nothing to it. That instant is the only one
-// writers must be kept out of. Any failure — or a log found wedged at
-// publish — aborts the shadow and stops the carry, leaving the old
-// checkpoint and the full log.
+// At the rename the shadow holds the live pages and the live index's
+// catalog, so it equals the live state and the log being retired adds
+// nothing to it. That instant is the only one writers must be kept out
+// of. Any failure — or a log found wedged at publish — aborts the
+// shadow, leaving the old checkpoint and the full log.
 func (d *DurableIndex) compact() error {
 	var held time.Duration
 	defer func() { d.lastStall.Store(int64(held)) }()
 
 	d.upMu.Lock()
 	t0 := time.Now()
-	frozen, err := d.mark()
+	d.live.mu.RLock()
+	marked, err := d.freeze()
+	d.live.mu.RUnlock()
 	held += time.Since(t0)
 	d.upMu.Unlock()
 	if err != nil {
 		return err
 	}
+	defer marked.Close()
 
-	var sh *shadow
-	segs, err := frozen.collect(d.mem.PageSize())
-	if err == nil {
-		sh, err = buildShadow(d.path, d.opt, 1, segs, d.wrap)
+	sh, err := openShadow(d.path, d.mem.PageSize(), d.wrap)
+	if err != nil {
+		return fmt.Errorf("segdb: checkpoint %s: %w", d.path, err)
 	}
-	for round := 0; err == nil; round++ {
-		d.upMu.Lock()
-		t0 = time.Now()
-		pending := d.carry
-		d.carry = nil
-		if len(pending) <= catchupTail || round == maxCatchupRounds {
-			err = d.publish(sh, pending)
-			held += time.Since(t0)
-			d.upMu.Unlock()
+	if err = sh.copyPages(marked, marked.Changed(nil)); err == nil {
+		err = sh.sync()
+	}
+	if err != nil {
+		sh.abort()
+		return fmt.Errorf("segdb: checkpoint %s: %w", d.path, err)
+	}
+
+	d.upMu.Lock()
+	defer d.upMu.Unlock()
+	t0 = time.Now()
+	d.live.mu.RLock()
+	err = d.publish(sh, marked)
+	d.live.mu.RUnlock()
+	held += time.Since(t0)
+	return err
+}
+
+// freeze snapshots the live pages. Requires upMu and the live shared
+// lock: the first keeps out the durable writers, the second anything
+// that mutates the live index without upMu.
+func (d *DurableIndex) freeze() (*pager.MemSnapshot, error) {
+	if err := d.log.Wedged(); err != nil {
+		return nil, err
+	}
+	if d.live.fatal != nil {
+		return nil, d.live.fatal
+	}
+	return d.memdev.Snapshot(), nil
+}
+
+// copyPages writes the listed pages of snap to the shadow. Page 1
+// (device index 0) is skipped: it is the catalog, which only Save
+// writes.
+func (sh *shadow) copyPages(snap *pager.MemSnapshot, idx []uint32) error {
+	page := make([]byte, sh.st.PageSize())
+	for _, i := range idx {
+		if i == 0 {
+			continue
+		}
+		if err := snap.ReadPage(i, page); err != nil {
 			return err
 		}
-		held += time.Since(t0)
-		d.upMu.Unlock()
-		err = sh.upsert(pending)
+		if err := sh.st.Write(pager.PageID(i+1), page); err != nil {
+			return err
+		}
 	}
-
-	if sh != nil {
-		sh.abort()
-	}
-	d.upMu.Lock()
-	d.carrying, d.carry = false, nil
-	d.upMu.Unlock()
-	return fmt.Errorf("segdb: checkpoint %s: %w", d.path, err)
+	return nil
 }
 
-// frozenIndex is the live index as of a compaction's mark: its identity
-// and a snapshot of the pages it lives on.
-type frozenIndex struct {
-	pages  *pager.MemSnapshot
-	cfg    sol1.Config
-	root   pager.PageID
-	length int
-}
-
-// mark is compaction phase 1. Requires upMu; the shared lock on top
-// keeps out anything that mutates the live index without it.
-func (d *DurableIndex) mark() (frozenIndex, error) {
-	if err := d.log.Wedged(); err != nil {
-		return frozenIndex{}, err
-	}
-	d.live.mu.RLock()
-	defer d.live.mu.RUnlock()
-	if d.live.fatal != nil {
-		return frozenIndex{}, d.live.fatal
-	}
-	ix := d.live.ix.(solution1)
-	d.carrying, d.carry = true, nil
-	return frozenIndex{pages: d.memdev.Snapshot(), cfg: ix.Config(), root: ix.Root(), length: ix.Len()}, nil
-}
-
-// collect walks the frozen index on a pool-less read-only store and
-// releases the snapshot.
-func (f frozenIndex) collect(pageSize int) ([]Segment, error) {
-	st, err := pager.Open(f.pages, pageSize, 0)
-	if err != nil {
-		f.pages.Close()
-		return nil, err
-	}
-	defer st.Close()
-	ix, err := sol1.Attach(st, f.cfg, f.root, f.length)
-	if err != nil {
-		return nil, err
-	}
-	return ix.Collect()
-}
-
-// publish is compaction phase 3. Requires upMu, which makes pending the
-// last records the retiring log will ever hold.
-func (d *DurableIndex) publish(sh *shadow, pending []wal.Record) error {
-	d.carrying = false
+// publish is compaction phase 3. Requires upMu and the live shared
+// lock, which make the live state the last one the retiring log will
+// ever describe.
+func (d *DurableIndex) publish(sh *shadow, marked *pager.MemSnapshot) error {
 	fail := func(err error) error { return fmt.Errorf("segdb: checkpoint %s: %w", d.path, err) }
-	if err := d.log.Wedged(); err != nil {
+	now, err := d.freeze()
+	if err != nil {
 		sh.abort()
 		return err
 	}
-	if err := sh.upsert(pending); err != nil {
+	defer now.Close()
+	sh.st.Reserve(d.mem.NextPage())
+	if err = sh.copyPages(now, now.Changed(marked)); err == nil {
+		err = Save(sh.st, d.live.ix)
+	}
+	if err == nil {
+		err = sh.sync()
+	}
+	if err != nil {
 		sh.abort()
 		return fail(err)
 	}
@@ -691,7 +669,7 @@ func (d *DurableIndex) publish(sh *shadow, pending []wal.Record) error {
 	}
 	d.statsMu.Lock()
 	d.epoch.Store(next)
-	err := d.log.Reset()
+	err = d.log.Reset()
 	d.statsMu.Unlock()
 	return err
 }
@@ -824,7 +802,6 @@ func (d *DurableIndex) ApplyReplicated(recs []wal.Record) error {
 			if lsn, err = d.log.Append(r); err != nil {
 				break
 			}
-			d.carryLogged(r)
 		}
 	}
 	d.upMu.Unlock()

@@ -141,8 +141,8 @@ func TestDurableRoundTrip(t *testing.T) {
 	checkLive(t, d, want)
 
 	// The configuration must have come from the file's catalog.
-	if d.opt.B != 16 {
-		t.Fatalf("reopened with B=%d, want 16", d.opt.B)
+	if _, opt := buildOptions(d.live.ix); opt.B != 16 {
+		t.Fatalf("reopened with B=%d, want 16", opt.B)
 	}
 }
 

@@ -257,7 +257,7 @@ var _ pager.Device = (*Device)(nil)
 // of a build: BeforeWrite runs ahead of every WritePage with that
 // write's ordinal and the number of Syncs forwarded so far, on the
 // goroutine doing the write. Crash tests use it to commit writes beside
-// an off-lock checkpoint build at a fixed, repeatable page write; it
+// an off-lock checkpoint copy at a fixed, repeatable page write; it
 // composes with Device (wrap the Device in the Tap).
 type Tap struct {
 	pager.Device

@@ -108,6 +108,25 @@ func (s *MemSnapshot) ReadPage(idx uint32, p []byte) error {
 	return nil
 }
 
+// Changed lists, in ascending order, the pages s holds in a buffer old
+// does not: every page written after old was taken and before s was,
+// since a write to a page old shares installs a fresh buffer. A page
+// rewritten with identical bytes is listed too; a page written only
+// before old is not. A nil old holds nothing, so Changed(nil) lists
+// every page s holds. Both snapshots must be open.
+func (s *MemSnapshot) Changed(old *MemSnapshot) []uint32 {
+	var out []uint32
+	for i, p := range s.pages {
+		if p == nil {
+			continue
+		}
+		if old == nil || i >= len(old.pages) || old.pages[i] == nil || &old.pages[i][0] != &p[0] {
+			out = append(out, uint32(i))
+		}
+	}
+	return out
+}
+
 // WritePage implements Device; a snapshot is read-only.
 func (s *MemSnapshot) WritePage(idx uint32, _ []byte) error {
 	return fmt.Errorf("memsnapshot: write page %d: snapshot is read-only", idx)

@@ -51,7 +51,7 @@ func (g *gatedWriter) Write(p []byte) (int, error) {
 // TestReplCompactDuringSnapshotStream races a leader compaction against
 // a follower's bootstrap, with writers beside both. The follower asks
 // for its snapshot while the compaction is in the middle of its
-// checkpoint build — the build holds no lock, so the request is served
+// checkpoint copy — the copy holds no lock, so the request is served
 // at once, pairing the old checkpoint with the old epoch while writes
 // keep being acknowledged — and the rotation then renames a fresh
 // checkpoint over the path while half the old one is on the wire. The
@@ -62,7 +62,7 @@ func (g *gatedWriter) Write(p []byte) (int, error) {
 func TestReplCompactDuringSnapshotStream(t *testing.T) {
 	dir := t.TempDir()
 	// buildGate holds the leader's next compaction at the third page
-	// write of its checkpoint build.
+	// write of its checkpoint copy.
 	var buildGate atomic.Bool
 	building, resume := make(chan struct{}), make(chan struct{})
 	d, err := segdb.OpenDurableIndex(filepath.Join(dir, "leader.db"), filepath.Join(dir, "leader.wal"),
@@ -120,7 +120,7 @@ func TestReplCompactDuringSnapshotStream(t *testing.T) {
 		PollWait:       20 * time.Millisecond,
 		CompactRecords: -1,
 	}
-	// Hold the next compaction mid-build and commit beside it.
+	// Hold the next compaction mid-copy and commit beside it.
 	buildGate.Store(true)
 	compacted := make(chan error, 1)
 	go func() { compacted <- d.Compact() }()
@@ -130,8 +130,8 @@ func TestReplCompactDuringSnapshotStream(t *testing.T) {
 		applyOp(t, d, op)
 	}
 
-	// The follower bootstraps now: mid-build, with writes in the log the
-	// build has not seen.
+	// The follower bootstraps now: mid-copy, with writes in the log the
+	// copy has not seen.
 	armed.Store(true)
 	type openResult struct {
 		f   *repl.Follower

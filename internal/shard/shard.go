@@ -590,8 +590,8 @@ func (s *Store) spanners(c int) []segdb.Segment {
 }
 
 // Compact checkpoints every shard in parallel (bounded by Workers): each
-// shard's live state lands in its checkpoint file through the shadow
-// commit and its WAL rotates. Shards succeed or fail independently; the
+// shard's live pages are copied into its checkpoint file through the
+// shadow commit and its WAL rotates. Shards succeed or fail independently; the
 // error joins every failing shard's, and a failed shard keeps serving
 // from its last good checkpoint + log.
 func (s *Store) Compact() error {

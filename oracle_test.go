@@ -317,8 +317,8 @@ func TestDurableCompactInterleavingOracle(t *testing.T) {
 		})
 	})
 
-	// The log dies while the checkpoint is being built: a write beside
-	// the build fails and latches the wedge. The compaction must come
+	// The log dies while the live pages are being copied: a write beside
+	// the copy fails and latches the wedge. The compaction must come
 	// back with that latched error instead of publishing, and the old
 	// checkpoint plus the full log must recover every acknowledged write.
 	t.Run("wedge", func(t *testing.T) {
@@ -347,10 +347,10 @@ func TestDurableCompactInterleavingOracle(t *testing.T) {
 		}
 		err = d.Compact()
 		if writeErr == nil {
-			t.Fatal("the write beside the build was acknowledged by a dead log")
+			t.Fatal("the write beside the copy was acknowledged by a dead log")
 		}
 		if latched := d.WALWedged(); err == nil || !errors.Is(err, wal.ErrFileCrashed) || err.Error() != latched.Error() {
-			t.Fatalf("Compact over a log that wedged mid-build returned %v, want the latched %v", err, latched)
+			t.Fatalf("Compact over a log that wedged mid-copy returned %v, want the latched %v", err, latched)
 		}
 		d.Close()
 		if _, err := os.Stat(path + ".tmp"); err == nil {

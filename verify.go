@@ -39,7 +39,7 @@ func VerifyIndexFile(path string) error {
 			return err
 		}
 	}
-	st, ix, err := openIndexFile(path, 0, 0)
+	st, ix, err := OpenIndexFile(path, 0, 0)
 	if err != nil {
 		return err
 	}
